@@ -1,16 +1,17 @@
-"""Counter-based randomness primitives shared by every module.
+"""Keyed randomness primitives shared by every module.
 
-All randomness in this package is addressed, never streamed: a draw is a pure
-function of a 64-bit stream key and a 64-bit counter, so any single draw can
-be reproduced in isolation and results are independent of iteration order,
-chunking and thread scheduling. The generator is the splitmix64 finalizer,
-which has full avalanche behavior; the same keyed construction doubles as the
-hash family used by the local-hashing oracle (multiply-shift mixing followed
-by a modulo reduction onto the bucket range).
+The runner and the protocol engines build every generator as
+``numpy.random.default_rng(derive_key(...))``: a stream key is derived from
+the root seed and a fixed tuple of tags (repetition, party, level, role), so
+each stream is reproducible in isolation and no result depends on iteration
+order, chunking or thread scheduling. In particular a group's oracle support
+counts are a function of its stream key and its true-index histogram, the
+same for any thread count.
 
-The scalar functions here are the reference implementation. The array kernels
-in ``fedhh._kernels`` implement the identical integer arithmetic and are
-cross-checked for exact equality in the test suite.
+The mixing function is the splitmix64 finalizer, which has full avalanche
+behavior. The same keyed construction doubles as the hash family of the
+local-hashing oracle (multiply-shift mixing followed by a modulo reduction
+onto the bucket range), which the per-user reference path evaluates.
 """
 
 from __future__ import annotations
@@ -50,11 +51,6 @@ def derive_key(key: int, *parts: int) -> int:
     for p in parts:
         h = mix64((h + GOLDEN + (p & MASK64)) & MASK64)
     return h
-
-
-def uniform01(u: int) -> float:
-    """Map a 64-bit value to [0, 1) with 53-bit resolution."""
-    return (u >> 11) * (1.0 / 9007199254740992.0)
 
 
 def olh_bucket(hash_seed: int, index: int, d_prime: int) -> int:

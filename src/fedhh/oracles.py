@@ -8,10 +8,25 @@ trie protocols. The dummy slot is an ordinary domain index whose estimate the
 caller discards after aggregation.
 
 Two perturbation paths exist. ``perturb``/``aggregate`` work on explicit
-per-user reports and accept any ``numpy.random.Generator``. The protocol
-engines instead use ``perturb_counts``, which simulates a whole user group
-through the counter-addressed kernels (see ``fedhh._kernels``), so repeated
-runs are bit-identical regardless of thread count or iteration order.
+per-user reports and accept any ``numpy.random.Generator``; they are the
+reference client and server. The protocol engines use ``perturb_counts``,
+which draws a whole group's support counts from the group's true-index
+histogram n_x in O(d) draws instead of simulating n users over d cells. With
+p and q the support probabilities of Wang, Blocki, Li and Jha (USENIX
+Security 2017):
+
+- oue: every bit of every report is independent, so
+  c_x = Bin(n_x, 1/2) + Bin(n - n_x, q) exactly.
+- olh: c_x = Bin(n_x, p) + Bin(n - n_x, 1/d'). Under the ideal-hash model
+  that q = 1/d' already assumes, a user's support indicators for distinct
+  items are independent, so the joint law matches the per-user protocol.
+- krr: a report keeps the true index with probability p - q and is otherwise
+  uniform over all d indices, because p + (d - 1) q = 1. Hence
+  c = Bin(n_x, p - q) + Multinomial(n - kept, 1/d), exact in distribution.
+
+Determinism contract: the counts are a function of the stream key and the
+group's histogram alone, so they do not depend on the order of users, on
+chunking or on the number of threads.
 """
 
 from __future__ import annotations
@@ -21,14 +36,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedhh import _kernels
 from fedhh._rng import derive_key, olh_bucket
 
 KINDS = ("krr", "oue", "olh")
 
-# Sub-stream tags so one level key can feed several independent draw streams.
-_STREAM_DECISION = 1
-_STREAM_OLH_SEED = 2
+# Sub-stream tag of the generator that draws a group's support counts.
+_STREAM_COUNTS = 1
+
+# The privacy budgets every oracle accepts. Above the upper end e^eps, and
+# with it the olh hash range d' and the sums e^eps + d', come within a few
+# powers of ten of the float limit (math.exp overflows past 709.78). Below
+# the lower end e^eps - 1 nears double rounding error and p, q stop being
+# distinguishable, so the estimator's denominator p - q vanishes.
+EPSILON_MIN = 1e-12
+EPSILON_MAX = 700.0
+
+
+def check_epsilon(epsilon: float) -> float:
+    """Return ``epsilon`` as a float, or raise ValueError outside the envelope."""
+    epsilon = float(epsilon)
+    if not EPSILON_MIN <= epsilon <= EPSILON_MAX:  # also rejects nan
+        raise ValueError(
+            f"epsilon must lie in [{EPSILON_MIN:g}, {EPSILON_MAX:g}], got {epsilon}"
+        )
+    return epsilon
 
 
 @dataclass(frozen=True)
@@ -42,8 +73,7 @@ class OracleConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown oracle kind {self.kind!r}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        check_epsilon(self.epsilon)
         if self.domain_size < 2:
             raise ValueError("domain size must be at least 2")
 
@@ -140,9 +170,10 @@ def aggregate(config: OracleConfig, reports: list[OracleReport]) -> FrequencyTab
                 raise ValueError("report vector length does not match domain size")
         counts = np.sum([r.bits for r in reports], axis=0, dtype=np.int64)
     else:
-        seeds = np.array([r.hash_seed for r in reports], dtype=np.uint64)
-        buckets = np.array([r.bucket for r in reports], dtype=np.int64)
-        counts = _kernels.olh_support_counts(seeds, buckets, d, config.d_prime)
+        counts = np.zeros(d, dtype=np.int64)
+        for r in reports:
+            for x in range(d):
+                counts[x] += olh_bucket(r.hash_seed, x, config.d_prime) == r.bucket
     return FrequencyTable(
         estimates=estimate_from_counts(config, counts, len(reports)),
         support_counts=counts,
@@ -160,33 +191,39 @@ def estimate_from_counts(config: OracleConfig, counts: np.ndarray, n: int) -> np
 def perturb_counts(
     config: OracleConfig, stream_key: int, user_index, true_index
 ) -> np.ndarray:
-    """Simulate one report per user and return the support counts.
+    """Draw the support counts of one report per user from the group histogram.
 
-    Every draw is addressed by the user's party-stable index within the
-    derived sub-streams of ``stream_key``, so the result does not depend on
-    the order of users in the arrays.
+    ``true_index`` holds each user's domain index; ``user_index`` only has to
+    match it in length. The counts depend on ``stream_key`` and the histogram
+    of ``true_index`` alone (see the module docstring for the laws).
     """
     d = config.domain_size
-    decision_key = derive_key(stream_key, _STREAM_DECISION)
+    true = np.asarray(true_index, dtype=np.int64)
+    if true.ndim != 1 or len(true) != len(user_index):
+        raise ValueError(
+            f"true_index has shape {true.shape}, user_index has length {len(user_index)}"
+        )
+    n = len(true)
+    if n and (true.min() < 0 or true.max() >= d):
+        raise ValueError(f"true_index values must lie in [0, {d})")
+    hist = np.bincount(true, minlength=d)
+    rng = np.random.default_rng(derive_key(stream_key, _STREAM_COUNTS))
     if config.kind == "krr":
-        return _kernels.krr_counts(decision_key, user_index, true_index, d, config.p)
-    if config.kind == "oue":
-        return _kernels.oue_counts(decision_key, user_index, true_index, d, config.q)
-    seed_key = derive_key(stream_key, _STREAM_OLH_SEED)
-    seeds, buckets = _kernels.olh_reports(
-        seed_key, decision_key, user_index, true_index, config.d_prime, config.p
-    )
-    return _kernels.olh_support_counts(seeds, buckets, d, config.d_prime)
+        kept = rng.binomial(hist, config.p - config.q)
+        return kept + rng.multinomial(n - int(kept.sum()), np.full(d, 1.0 / d))
+    return rng.binomial(hist, config.p) + rng.binomial(n - hist, config.q)
 
 
 def variance(config: OracleConfig, n: int) -> float:
     """Estimator variance at ``n`` reports (the oue/olh forms coincide)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    e = math.exp(config.epsilon)
+    # (e - 1)^2 / e, written so that it neither overflows at large budgets
+    # nor cancels at small ones.
+    spread = math.expm1(config.epsilon) * -math.expm1(-config.epsilon)
     if config.kind == "krr":
-        return (config.domain_size - 2 + e) / ((e - 1) ** 2 * n)
-    return 4 * e / ((e - 1) ** 2 * n)
+        return ((config.domain_size - 2) * math.exp(-config.epsilon) + 1) / (spread * n)
+    return 4 / (spread * n)
 
 
 def ratio_bound_check(config: OracleConfig) -> float:

@@ -6,10 +6,11 @@ single-party fixed-extension baseline and its federated variant, plus the
 server-side merge.
 
 Randomness contract: every engine takes a 64-bit ``run_key``. Group
-assignment derives a per-party generator from it, and every report draw is
-addressed by (run key, party, level, subgroup role, user index) through the
-counter-based kernels, so runs are bit-identical regardless of thread count
-or scheduling and each simulated user reports exactly once.
+assignment derives a per-party generator from it, and each group's oracle
+support counts are drawn from a stream keyed by (run key, party, level,
+subgroup role) and the group's true-index histogram, so runs are
+bit-identical regardless of thread count or scheduling and each simulated
+user reports exactly once.
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ class ProtocolParams:
             raise ValueError(f"need 1 <= g_s < g, got g_s={self.g_s}, g={self.g}")
         if self.k < 2:
             raise ValueError("k must be at least 2")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        oracles.check_epsilon(self.epsilon)
         if self.oracle not in oracles.KINDS:
             raise ValueError(f"unknown oracle {self.oracle!r}")
         if not 0 < self.phase1_user_fraction < 1:
@@ -81,16 +81,15 @@ class ProtocolParams:
 class PartyState:
     """One party: its users' item codes and per-run protocol state.
 
-    ``users`` holds one m-bit code per user (uint64). ``group_of_user`` and
-    ``level_groups`` are set by :func:`assign_groups` at the start of each
-    run; the ``current_*`` fields hold the party's final-level candidates and
-    counts after an engine finishes.
+    ``users`` holds one m-bit code per user (uint64). ``level_groups`` is set
+    by :func:`assign_groups` at the start of each run; the ``current_*``
+    fields hold the party's final-level candidates and counts after an
+    engine finishes.
     """
 
     party_id: int
     users: np.ndarray
     item_length: int
-    group_of_user: np.ndarray | None = None
     level_groups: dict[int, np.ndarray] | None = field(default=None, repr=False)
     current_candidates: list[PrefixCode] | None = None
     current_counts: dict[PrefixCode, float] | None = None
@@ -174,10 +173,6 @@ def assign_groups(
     else:
         raise ValueError(f"unknown grouping mode {mode!r}")
     party.level_groups = groups
-    assignment = np.zeros(party.n_users, dtype=np.int64)
-    for h, idx in groups.items():
-        assignment[idx] = h
-    party.group_of_user = assignment
 
 
 def estimate_level(

@@ -91,10 +91,10 @@ class ExperimentConfig:
             self.epsilon = (float(self.epsilon),)
         if isinstance(self.k, int):
             self.k = (self.k,)
-        self.epsilon = tuple(float(e) for e in self.epsilon)
+        self.epsilon = tuple(oracles.check_epsilon(e) for e in self.epsilon)
         self.k = tuple(int(k) for k in self.k)
-        if not self.epsilon or any(e <= 0 for e in self.epsilon):
-            raise ValueError("epsilon values must be positive")
+        if not self.epsilon:
+            raise ValueError("need at least one epsilon value")
         if not self.k or any(k < 2 for k in self.k):
             raise ValueError("k values must be at least 2")
         if self.repetitions < 1:

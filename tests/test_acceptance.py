@@ -53,7 +53,7 @@ def test_criterion_01_oracle_exactness():
             assert ratio_bound_check(config) <= math.exp(eps) * (1 + 1e-12), (
                 f"{kind} eps={eps}: analytic ratio exceeds the budget"
             )
-            counts = perturb_counts(config, derive_key(ACC_SEED, 1, hash(kind) & 0xFF, int(eps * 4)), users, true_idx)
+            counts = perturb_counts(config, derive_key(ACC_SEED, 1, KINDS.index(kind), int(eps * 4)), users, true_idx)
             p, q = config.p, config.q
             p_emp = counts[0] / n
             q_emp = counts[1:].sum() / (n * (d - 1))
@@ -81,7 +81,7 @@ def test_criterion_02_estimator_calibration():
             config = OracleConfig(kind, eps, d)
             estimates = np.empty((trials, d))
             for trial in range(trials):
-                key = derive_key(ACC_SEED, 2, hash(kind) & 0xFF, d, trial)
+                key = derive_key(ACC_SEED, 2, KINDS.index(kind), d, trial)
                 counts = perturb_counts(config, key, users, true_idx)
                 estimates[trial] = estimate_from_counts(config, counts, n)
             zero_cells = estimates[:, 1:]  # items with true frequency zero

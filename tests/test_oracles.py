@@ -1,14 +1,16 @@
 """Frequency oracle probability tables, estimators, and privacy ratio bounds.
 
 The statistical checks are seed-pinned: every empirical quantity is produced
-by the counter-addressed kernels or a fixed numpy generator, so a failure is
-a regression, not noise.
+by a generator with a fixed key or seed, so a failure is a regression, not
+noise.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedhh import oracles
 from fedhh._rng import derive_key, olh_bucket
@@ -54,6 +56,46 @@ def test_config_validation():
         OracleConfig("krr", 0.0, 4)
     with pytest.raises(ValueError):
         OracleConfig("krr", 1.0, 1)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1.0, 1e-300, 800.0])
+@pytest.mark.parametrize("kind", oracles.KINDS)
+def test_config_rejects_epsilon_outside_envelope(kind, eps):
+    with pytest.raises(ValueError, match="epsilon"):
+        OracleConfig(kind, eps, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(oracles.KINDS),
+    eps=st.floats() | st.floats(min_value=1e-13, max_value=710.0),
+    d=st.integers(min_value=2, max_value=4096),
+)
+def test_every_config_is_rejected_or_finite(kind, eps, d):
+    """Construction raises ValueError, or every derived quantity is finite."""
+    try:
+        config = OracleConfig(kind, eps, d)
+    except ValueError:
+        return
+    assert config.p > config.q
+    for n in (1, 10**9):
+        assert math.isfinite(oracles.variance(config, n))
+    assert math.isfinite(config.p) and math.isfinite(config.q)
+    assert math.isfinite(oracles.ratio_bound_check(config))
+    items = np.arange(50) % d
+    counts = oracles.perturb_counts(config, 3, items, items)
+    assert counts.shape == (d,)
+    assert np.all(np.isfinite(oracles.estimate_from_counts(config, counts, 50)))
+
+
+def test_olh_runs_at_large_epsilon():
+    # d' = ceil(e^50 + 1) exceeds 2^64; the histogram path never forms it as
+    # a machine integer.
+    config = OracleConfig("olh", 50.0, 16)
+    assert config.d_prime > 2**64
+    counts = oracles.perturb_counts(config, 5, np.arange(1000), np.full(1000, 3))
+    assert counts[3] == pytest.approx(500, abs=100)
+    assert counts.sum() - counts[3] <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +266,13 @@ def test_estimates_not_clipped():
 
 
 def test_perturb_counts_matches_probabilities():
-    """Counter-addressed path: support counts are binomial at the table rates."""
+    """Histogram path: support counts are binomial at the table rates."""
     n = 200_000
     users = np.arange(n)
     for kind in oracles.KINDS:
         config = OracleConfig(kind, 2.0, 16)
         counts = oracles.perturb_counts(
-            config, derive_key(909, hash(kind) & 0xFFFF), users, np.full(n, 6)
+            config, derive_key(909, oracles.KINDS.index(kind)), users, np.full(n, 6)
         )
         p_hat = counts[6] / n
         se_p = math.sqrt(config.p * (1 - config.p) / n)
@@ -267,3 +309,89 @@ def test_unbiasedness_over_trials():
     means /= trials
     se = math.sqrt(oracles.variance(config, n) / trials)
     assert np.max(np.abs(means - true)) <= 5 * se
+
+
+def test_perturb_counts_rejects_bad_indices():
+    config = OracleConfig("krr", 1.0, 4)
+    with pytest.raises(ValueError):
+        oracles.perturb_counts(config, 1, [0], [4])
+    with pytest.raises(ValueError):
+        oracles.perturb_counts(config, 1, [0], [-1])
+    with pytest.raises(ValueError):
+        oracles.perturb_counts(config, 1, [0, 1], [0])
+
+
+def test_perturb_counts_krr_sums_to_n():
+    rng = np.random.default_rng(21)
+    for d in (2, 5, 16, 1025):
+        items = rng.integers(0, d, size=3000)
+        for trial in range(5):
+            config = OracleConfig("krr", 1.0, d)
+            counts = oracles.perturb_counts(config, derive_key(77, d, trial), items, items)
+            assert counts.sum() == 3000
+
+
+def test_perturb_counts_olh_non_true_items_uncorrelated():
+    """Support counts of two items nobody holds have covariance about zero."""
+    config = OracleConfig("olh", 1.0, 3)
+    n, trials = 2000, 4000
+    items = np.zeros(n, dtype=np.int64)
+    counts = np.array(
+        [oracles.perturb_counts(config, derive_key(4242, t), items, items) for t in range(trials)]
+    )
+    corr = np.corrcoef(counts[:, 1], counts[:, 2])[0, 1]
+    assert abs(corr) <= 4.5 / math.sqrt(trials)
+
+
+# Reference-path trials per (oracle, d), their group size, and the |z| bound
+# for every per-item comparison of means and of variances.
+_REF_TRIALS = 200
+_REF_USERS = 100
+_Z_BOUND = 4.5
+
+
+def _mean_z(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
+    return np.abs(a.mean(axis=0) - b.mean(axis=0)) / se
+
+
+def _variance_z(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Two-sample z of the per-item variances, from each sample's 4th moment."""
+
+    def var_and_se(x):
+        centred = x - x.mean(axis=0)
+        m2 = (centred**2).mean(axis=0)
+        m4 = (centred**4).mean(axis=0)
+        return m2 * len(x) / (len(x) - 1), np.sqrt((m4 - m2**2) / len(x))
+
+    va, sa = var_and_se(a)
+    vb, sb = var_and_se(b)
+    return np.abs(va - vb) / np.sqrt(sa**2 + sb**2)
+
+
+@pytest.mark.parametrize("d", [2, 5, 16])
+@pytest.mark.parametrize("kind", oracles.KINDS)
+def test_perturb_counts_matches_per_user_reference(kind, d):
+    """Histogram path vs per-user perturb + aggregate: same means and variances."""
+    config = OracleConfig(kind, 1.0, d)
+    rng = np.random.default_rng(1000 + 10 * oracles.KINDS.index(kind) + d)
+    # A skewed group: item 0 is held by about half the users.
+    items = np.minimum(rng.geometric(0.5, size=_REF_USERS) - 1, d - 1)
+    reference = np.array(
+        [
+            oracles.aggregate(
+                config, [oracles.perturb(config, int(x), rng) for x in items]
+            ).support_counts
+            for _ in range(_REF_TRIALS)
+        ]
+    )
+    histogram = np.array(
+        [
+            oracles.perturb_counts(
+                config, derive_key(2718, oracles.KINDS.index(kind), d, t), items, items
+            )
+            for t in range(4 * _REF_TRIALS)
+        ]
+    )
+    assert np.max(_mean_z(histogram, reference)) <= _Z_BOUND
+    assert np.max(_variance_z(histogram, reference)) <= _Z_BOUND

@@ -83,6 +83,8 @@ def test_build_config_rejects_unknown_key():
         dict(threads=0),
         dict(scale=0.0),
         dict(ncr_quality="ranked"),
+        dict(epsilon=(4.0, float("nan"))),
+        dict(epsilon=(800.0,)),
     ],
 )
 def test_config_validation(kw):
