@@ -185,18 +185,11 @@ def load_vocabulary(path: str) -> dict[str, int]:
     return vocabulary
 
 
-def ingest_party_file(
-    path: str,
-    vocabulary: dict[str, int],
-    m: int,
-    auto_extend: bool = False,
-) -> np.ndarray:
+def ingest_party_file(path: str, vocabulary: dict[str, int], m: int) -> np.ndarray:
     """Read one item token per line into an array of m-bit item codes.
 
-    Unknown tokens raise (with the offending line number) unless
-    ``auto_extend`` is set, in which case they are appended to the
-    vocabulary. Either way the index must fit in m bits; the vocabulary
-    index is the item code.
+    The vocabulary index is the item code and must fit in m bits; unknown
+    tokens raise with the offending line number.
     """
     capacity = 1 << m
     indices: list[int] = []
@@ -207,10 +200,7 @@ def ingest_party_file(
                 continue
             index = vocabulary.get(token)
             if index is None:
-                if not auto_extend:
-                    raise ValueError(f"{path}:{line_no}: unknown token {token!r}")
-                index = len(vocabulary)
-                vocabulary[token] = index
+                raise ValueError(f"{path}:{line_no}: unknown token {token!r}")
             if index >= capacity:
                 raise ValueError(
                     f"{path}:{line_no}: vocabulary index {index} does not fit in {m} bits"

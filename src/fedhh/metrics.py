@@ -2,17 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-
-@dataclass
-class EvalResult:
-    f1: float
-    ncr: float
-    precision: float
-    recall: float
-    avg_local_recall: float | None = None
 
 
 def f1_score(estimated: Iterable, truth: Iterable) -> float:

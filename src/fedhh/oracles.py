@@ -146,7 +146,10 @@ def perturb(config: OracleConfig, true_index: int, rng: np.random.Generator) -> 
     seed = int(rng.integers(0, 1 << 64, dtype=np.uint64))
     bucket = olh_bucket(seed, true_index, dp)
     if rng.random() >= config.p:
-        other = int(rng.integers(0, dp - 1))
+        # d' - 1 can exceed 2**63, past what rng.integers draws; reduce a
+        # Python integer with 64 spare bits (modulo bias below 2**-64).
+        n_bytes = ((dp - 1).bit_length() + 64 + 7) // 8
+        other = int.from_bytes(rng.bytes(n_bytes), "little") % (dp - 1)
         if other >= bucket:
             other += 1
         bucket = other

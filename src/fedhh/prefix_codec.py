@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# Longest prefix length whose full domain (level 1 of every trie) is enumerated.
+MAX_FIRST_LEVEL_BITS = 24
+
 
 @dataclass(frozen=True, order=True)
 class PrefixCode:
@@ -31,24 +34,6 @@ class PrefixCode:
         return format(self.bits, f"0{self.length}b")
 
 
-def encode_item(item_index: int, m: int) -> PrefixCode:
-    """Encode a non-negative item index as its m-bit big-endian code."""
-    if not 1 <= m <= 64:
-        raise ValueError(f"m must be in [1, 64], got {m}")
-    if not 0 <= item_index < (1 << m):
-        raise ValueError(f"item index {item_index} out of range for {m} bits")
-    return PrefixCode(item_index, m)
-
-
-def prefix_of(code: PrefixCode, l: int) -> PrefixCode:
-    """The leading ``l`` bits of ``code``."""
-    if l > code.length:
-        raise ValueError(f"prefix length {l} exceeds code length {code.length}")
-    if l < 1:
-        raise ValueError(f"prefix length must be >= 1, got {l}")
-    return PrefixCode(code.bits >> (code.length - l), l)
-
-
 def level_length(h: int, m: int, g: int) -> int:
     """Prefix bit length of trie level ``h``: ceil(h*m/g)."""
     if not 1 <= h <= g:
@@ -67,12 +52,11 @@ class CandidateDomain:
 
     level_length: int
     prefixes: list[PrefixCode]
-    has_dummy: bool = True
     _bits: object = field(default=None, repr=False, compare=False)
 
     @property
     def alphabet_size(self) -> int:
-        return len(self.prefixes) + (1 if self.has_dummy else 0)
+        return len(self.prefixes) + 1
 
     def bit_values(self):
         """Prefix bit values as a sorted numpy array (cached)."""
@@ -115,6 +99,6 @@ def full_level_domain(l_h: int) -> CandidateDomain:
     """The complete domain of all 2**l_h prefixes (used at the first level)."""
     if not 1 <= l_h <= 64:
         raise ValueError(f"level length must be in [1, 64], got {l_h}")
-    if l_h > 24:
+    if l_h > MAX_FIRST_LEVEL_BITS:
         raise ValueError(f"refusing to enumerate 2**{l_h} first-level prefixes")
     return CandidateDomain(l_h, [PrefixCode(bits, l_h) for bits in range(1 << l_h)])

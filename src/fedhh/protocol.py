@@ -5,19 +5,25 @@ trie construction, the two-phase adaptive mechanism (phase II extension), the
 single-party fixed-extension baseline and its federated variant, plus the
 server-side merge.
 
-Randomness contract: every engine takes a 64-bit ``run_key``. Group
-assignment derives a per-party generator from it, and each group's oracle
-support counts are drawn from a stream keyed by (run key, party, level,
-subgroup role) and the group's true-index histogram, so runs are
-bit-identical regardless of thread count or scheduling and each simulated
-user reports exactly once.
+Engine contract: every engine is a function of read-only parties, the
+protocol parameters and a 64-bit ``run_key``. It writes to none of its
+inputs and returns one :class:`RunResult`: the server's top-k and merged
+counts, each party's final (prefix, count) upload, and the run's report and
+package pair totals. One ``parties`` list can therefore serve any number of
+runs, from any number of threads at once.
+
+Randomness contract: group assignment derives a per-party generator from
+the run key, and each group's oracle support counts are drawn from a stream
+keyed by (run key, party, level, subgroup role) and the group's true-index
+histogram, so runs are bit-identical regardless of thread count or
+scheduling and each simulated user reports exactly once.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +32,7 @@ from fedhh._rng import derive_key
 from fedhh.extension import RankedEstimates, extension_number
 from fedhh.oracles import OracleConfig
 from fedhh.prefix_codec import (
+    MAX_FIRST_LEVEL_BITS,
     CandidateDomain,
     PrefixCode,
     construct_domain,
@@ -39,6 +46,11 @@ SUB_MAIN = 0
 SUB_VAL0 = 1
 SUB_VAL1 = 2
 _TAG_GROUPING = 101
+
+PAIR_BYTES = 16  # one uploaded (prefix, count) pair
+
+# A party's user groups: trie level -> indices into its users.
+LevelGroups = dict[int, np.ndarray]
 
 
 class ProtocolError(RuntimeError):
@@ -64,6 +76,13 @@ class ProtocolParams:
             raise ValueError(f"m must be in [1, 64], got {self.m}")
         if not 1 <= self.g_s < self.g:
             raise ValueError(f"need 1 <= g_s < g, got g_s={self.g_s}, g={self.g}")
+        if self.g > self.m:
+            raise ValueError(f"need g <= m so every level adds a bit, got g={self.g}, m={self.m}")
+        if level_length(1, self.m, self.g) > MAX_FIRST_LEVEL_BITS:
+            raise ValueError(
+                f"need ceil(m/g) <= {MAX_FIRST_LEVEL_BITS}, the first level's prefix length, "
+                f"got m={self.m}, g={self.g}"
+            )
         if self.k < 2:
             raise ValueError("k must be at least 2")
         oracles.check_epsilon(self.epsilon)
@@ -77,30 +96,28 @@ class ProtocolParams:
             raise ValueError("fixed_t must be at least 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PartyState:
-    """One party: its users' item codes and per-run protocol state.
+    """One party's dataset: one m-bit item code per user (uint64).
 
-    ``users`` holds one m-bit code per user (uint64). ``level_groups`` is set
-    by :func:`assign_groups` at the start of each run; the ``current_*``
-    fields hold the party's final-level candidates and counts after an
-    engine finishes.
+    The dataclass is frozen and ``users`` is a read-only view, so engines
+    can share a party across runs and threads; per-run state (groups,
+    uploads) lives in the engines and their :class:`RunResult`.
     """
 
     party_id: int
     users: np.ndarray
     item_length: int
-    level_groups: dict[int, np.ndarray] | None = field(default=None, repr=False)
-    current_candidates: list[PrefixCode] | None = None
-    current_counts: dict[PrefixCode, float] | None = None
 
     def __post_init__(self):
-        self.users = np.asarray(self.users, dtype=np.uint64)
-        if len(self.users) == 0:
+        users = np.asarray(self.users, dtype=np.uint64).view()
+        users.flags.writeable = False
+        object.__setattr__(self, "users", users)
+        if len(users) == 0:
             raise ValueError(f"party {self.party_id} has no users")
         if not 1 <= self.item_length <= 64:
             raise ValueError("item_length must be in [1, 64]")
-        if self.item_length < 64 and int(self.users.max()) >= (1 << self.item_length):
+        if self.item_length < 64 and int(users.max()) >= (1 << self.item_length):
             raise ValueError("user codes exceed the declared item length")
 
     @property
@@ -114,42 +131,32 @@ class LevelEstimate:
 
     ranked: RankedEstimates
     scaled_counts: np.ndarray  # aligned with ranked order
-    empty_group: bool = False
 
 
-@dataclass
-class ServerAggregate:
-    """Server-side merge of per-party reports."""
+@dataclass(frozen=True)
+class RunResult:
+    """Everything one engine run produces.
 
-    per_party_reports: list[tuple[int, list[tuple[PrefixCode, float]]]]
-    merged: dict[PrefixCode, float]
+    ``uploads`` holds each party's final (prefix, count) report as
+    (party id, entries), in the parties' input order. ``report_pairs``
+    counts every reported pair of the run, phase I included, and
+    ``package_pairs`` every pruning-package pair passed between parties.
+    """
+
     topk: list[PrefixCode]
-
-
-@dataclass
-class UploadTrace:
-    """Pair counters for communication-cost accounting (16 bytes per pair)."""
-
-    pair_size: int = 16
-    report_pairs: int = 0
+    merged: dict[PrefixCode, float]
+    uploads: list[tuple[int, list[tuple[PrefixCode, float]]]]
+    report_pairs: int
     package_pairs: int = 0
-    package_emissions: int = 0
-
-    def add_report(self, n_pairs: int) -> None:
-        self.report_pairs += n_pairs
-
-    def add_package(self, n_pairs: int) -> None:
-        self.package_pairs += n_pairs
-        self.package_emissions += 1
 
     @property
     def uploaded_bytes(self) -> int:
-        return (self.report_pairs + self.package_pairs) * self.pair_size
+        return PAIR_BYTES * (self.report_pairs + self.package_pairs)
 
 
 def assign_groups(
     party: PartyState, params: ProtocolParams, run_key: int, mode: str = "tap"
-) -> None:
+) -> LevelGroups:
     """Partition the party's users into per-level groups, uniformly at random.
 
     Mode "tap" reserves ``phase1_user_fraction`` of the users for levels
@@ -159,7 +166,7 @@ def assign_groups(
     """
     rng = np.random.default_rng(derive_key(run_key, _TAG_GROUPING, party.party_id))
     perm = rng.permutation(party.n_users)
-    groups: dict[int, np.ndarray] = {}
+    groups: LevelGroups = {}
     if mode == "pem":
         for h, chunk in enumerate(np.array_split(perm, params.g), start=1):
             groups[h] = chunk
@@ -172,7 +179,19 @@ def assign_groups(
             groups[h] = chunk
     else:
         raise ValueError(f"unknown grouping mode {mode!r}")
-    party.level_groups = groups
+    return groups
+
+
+def _tap_groups(
+    parties: list[PartyState], params: ProtocolParams, run_key: int
+) -> dict[int, LevelGroups]:
+    """Every party's phase I and phase II groups, keyed by party id."""
+    groups = {
+        party.party_id: assign_groups(party, params, run_key, "tap") for party in parties
+    }
+    if len(groups) < len(parties):
+        raise ProtocolError("party ids must be distinct")
+    return groups
 
 
 def estimate_level(
@@ -191,8 +210,6 @@ def estimate_level(
     """
     if not domain.prefixes:
         raise ProtocolError("candidate domain is empty")
-    if not domain.has_dummy:
-        raise ProtocolError("protocol domains require the dummy slot")
     dom_bits = domain.bit_values()
     d = domain.alphabet_size
     config = OracleConfig(params.oracle, params.epsilon, d)
@@ -205,7 +222,7 @@ def estimate_level(
             sigma=math.sqrt(oracles.variance(config, 1)),
             level_length=domain.level_length,
         )
-        return LevelEstimate(ranked, np.zeros(n_real), empty_group=True)
+        return LevelEstimate(ranked, np.zeros(n_real))
     shift = np.uint64(party.item_length - domain.level_length)
     user_prefixes = party.users[group_user_index] >> shift
     pos = np.searchsorted(dom_bits, user_prefixes)
@@ -243,6 +260,7 @@ def _positive_entries(est: LevelEstimate, t: int) -> list[tuple[PrefixCode, floa
 
 def _party_level_pass(
     party: PartyState,
+    groups: LevelGroups,
     params: ProtocolParams,
     run_key: int,
     levels,
@@ -259,7 +277,7 @@ def _party_level_pass(
         else:
             domain = construct_domain(parents, l_h, l_prev)
         key = derive_key(run_key, party.party_id, h, SUB_MAIN)
-        est = estimate_level(party, domain, party.level_groups[h], params, key)
+        est = estimate_level(party, domain, groups[h], params, key)
         parents, t = _select_extension(est, params)
         l_prev = l_h
     if est is None:
@@ -268,12 +286,16 @@ def _party_level_pass(
 
 
 def _merge_reports(
-    reports: list[tuple[int, list[tuple[PrefixCode, float]]]], k: int
-) -> ServerAggregate:
+    reports: list[tuple[int, list[tuple[PrefixCode, float]]]],
+    k: int,
+    phase1_pairs: int = 0,
+    package_pairs: int = 0,
+) -> RunResult:
     """Sum per-prefix counts across parties and rank the result.
 
     Contributions are combined with ``math.fsum`` so the merge is exactly
-    permutation-invariant over party order.
+    permutation-invariant over party order. ``phase1_pairs`` and
+    ``package_pairs`` are the run's uploads before these reports.
     """
     contributions: dict[PrefixCode, list[float]] = defaultdict(list)
     for _, entries in reports:
@@ -281,115 +303,97 @@ def _merge_reports(
             contributions[code].append(count)
     merged = {code: math.fsum(counts) for code, counts in contributions.items()}
     ranked = sorted(merged.items(), key=lambda item: (-item[1], item[0].bits))
-    return ServerAggregate(
-        per_party_reports=reports,
-        merged=merged,
+    return RunResult(
         topk=[code for code, _ in ranked[:k]],
+        merged=merged,
+        uploads=reports,
+        report_pairs=phase1_pairs + sum(len(entries) for _, entries in reports),
+        package_pairs=package_pairs,
     )
+
+
+def _no_phase_two(parties: list[PartyState], params: ProtocolParams, shared: RunResult) -> RunResult:
+    """The result when phase I found no candidate: every party uploads nothing."""
+    return _merge_reports([(party.party_id, []) for party in parties], params.k, shared.report_pairs)
 
 
 def run_stc(
     parties: list[PartyState],
     params: ProtocolParams,
     run_key: int,
-    trace: UploadTrace | None = None,
-) -> list[PrefixCode]:
-    """Phase I: build the shared shallow trie and return its top-k prefixes.
+    groups: dict[int, LevelGroups],
+) -> RunResult:
+    """Phase I: build the shared shallow trie; its top-k is the shared prefixes.
 
-    Every party walks levels 1..g_s on its phase-I user groups, reports its
-    level-g_s selection (positive counts only, scaled by its population), and
-    the server merges the counts and broadcasts the top-k prefixes.
+    Every party walks levels 1..g_s on its phase-I user groups (``groups``,
+    keyed by party id), reports its level-g_s selection (positive counts
+    only, scaled by its population), and the server merges the counts and
+    broadcasts the top-k prefixes. When no party reports a positive count the
+    shared trie is empty.
     """
     if not parties:
         raise ProtocolError("need at least one party")
     reports = []
     for party in parties:
-        # Deterministic per (run_key, party), so re-assigning is a no-op when
-        # the caller already did it.
-        assign_groups(party, params, run_key, "tap")
         est, t = _party_level_pass(
-            party, params, run_key, range(1, params.g_s + 1), None, 0
+            party, groups[party.party_id], params, run_key, range(1, params.g_s + 1), None, 0
         )
-        entries = _positive_entries(est, t)
-        if trace is not None:
-            trace.add_report(len(entries))
-        reports.append((party.party_id, entries))
-    aggregate = _merge_reports(reports, params.k)
-    if not aggregate.topk:
-        raise ProtocolError("no shared-trie candidate had a positive count")
-    return aggregate.topk
+        reports.append((party.party_id, _positive_entries(est, t)))
+    return _merge_reports(reports, params.k)
 
 
-def run_tap(
-    parties: list[PartyState],
-    params: ProtocolParams,
-    run_key: int,
-    trace: UploadTrace | None = None,
-) -> ServerAggregate:
+def run_tap(parties: list[PartyState], params: ProtocolParams, run_key: int) -> RunResult:
     """The full two-phase adaptive mechanism.
 
     Phase I builds the shared shallow trie; in phase II every party privately
     extends it through the remaining levels with adaptive extension and
     uploads its final candidates and counts for the server merge.
     """
-    shared = run_stc(parties, params, run_key, trace)
+    groups = _tap_groups(parties, params, run_key)
+    shared = run_stc(parties, params, run_key, groups)
+    if not shared.topk:
+        return _no_phase_two(parties, params, shared)
     l_shared = level_length(params.g_s, params.m, params.g)
     reports = []
     for party in parties:
         est, t = _party_level_pass(
             party,
+            groups[party.party_id],
             params,
             run_key,
             range(params.g_s + 1, params.g + 1),
-            shared,
+            shared.topk,
             l_shared,
         )
-        entries = _positive_entries(est, t)
-        party.current_candidates = [code for code, _ in entries]
-        party.current_counts = dict(entries)
-        if trace is not None:
-            trace.add_report(len(entries))
-        reports.append((party.party_id, entries))
-    return _merge_reports(reports, params.k)
+        reports.append((party.party_id, _positive_entries(est, t)))
+    return _merge_reports(reports, params.k, shared.report_pairs)
 
 
-def run_pem_single(
-    party: PartyState,
-    params: ProtocolParams,
-    run_key: int,
-    trace: UploadTrace | None = None,
-) -> list[tuple[PrefixCode, float]]:
-    """Single-party baseline: fixed extension ``t = k``, no shared trie.
-
-    Users are split evenly across all g levels; the returned local top list
-    is the final-level selection with positive counts.
-    """
+def _pem_upload(
+    party: PartyState, params: ProtocolParams, run_key: int
+) -> tuple[int, list[tuple[PrefixCode, float]]]:
+    """One party's PEM walk: fixed extension ``t = k`` over all g levels."""
     pem_params = replace(
         params, fixed_t=params.fixed_t if params.fixed_t is not None else params.k
     )
-    assign_groups(party, pem_params, run_key, "pem")
+    groups = assign_groups(party, pem_params, run_key, "pem")
     est, t = _party_level_pass(
-        party, pem_params, run_key, range(1, pem_params.g + 1), None, 0
+        party, groups, pem_params, run_key, range(1, pem_params.g + 1), None, 0
     )
-    entries = _positive_entries(est, t)
-    party.current_candidates = [code for code, _ in entries]
-    party.current_counts = dict(entries)
-    if trace is not None:
-        trace.add_report(len(entries))
-    return entries
+    return party.party_id, _positive_entries(est, t)
 
 
-def run_fedpem(
-    parties: list[PartyState],
-    params: ProtocolParams,
-    run_key: int,
-    trace: UploadTrace | None = None,
-) -> ServerAggregate:
+def run_pem_single(party: PartyState, params: ProtocolParams, run_key: int) -> RunResult:
+    """Single-party baseline: fixed extension ``t = k``, no shared trie.
+
+    Users are split evenly across all g levels; the party's upload is the
+    final-level selection with positive counts, and its top-k is the result.
+    """
+    return _merge_reports([_pem_upload(party, params, run_key)], params.k)
+
+
+def run_fedpem(parties: list[PartyState], params: ProtocolParams, run_key: int) -> RunResult:
     """Federated baseline: merge every party's independent local top list."""
     if not parties:
         raise ProtocolError("need at least one party")
-    reports = [
-        (party.party_id, run_pem_single(party, params, run_key, trace))
-        for party in parties
-    ]
-    return _merge_reports(reports, params.k)
+    return _merge_reports([_pem_upload(party, params, run_key) for party in parties], params.k)

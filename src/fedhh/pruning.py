@@ -30,13 +30,13 @@ from fedhh.protocol import (
     SUB_VAL0,
     SUB_VAL1,
     PartyState,
-    ProtocolError,
     ProtocolParams,
-    ServerAggregate,
-    UploadTrace,
+    RunResult,
     _merge_reports,
+    _no_phase_two,
     _positive_entries,
     _select_extension,
+    _tap_groups,
     estimate_level,
     run_stc,
 )
@@ -59,11 +59,10 @@ class PruningPackage:
 
 @dataclass
 class ConsensusResult:
-    """Outcome of one agreement test: chosen k', agreed set, score trace."""
+    """Outcome of one agreement test: the chosen k' and the agreed set."""
 
     k_prime: int
     pruned: set[PrefixCode]
-    scores: list[float]  # scores[i] is the objective at k' = i + 1
 
 
 def order_parties(parties: list[PartyState]) -> list[PartyState]:
@@ -112,8 +111,7 @@ def consensus_filter(
     disagreement penalty scaled by ``gamma``. Ties go to the smaller k'.
     """
     if not previous or not validated:
-        return ConsensusResult(0, set(), [])
-    scores: list[float] = []
+        return ConsensusResult(0, set())
     best_k = 0
     best_set: set[PrefixCode] = set()
     best_score = -np.inf
@@ -121,12 +119,11 @@ def consensus_filter(
         agreed = set(previous[:k_prime]) & set(validated[:k_prime])
         alpha = (k_prime - len(agreed) + 1) / (k_prime + 1)
         score = len(agreed) / (k_prime * (1 + epsilon) ** k_prime) - gamma * alpha**2
-        scores.append(score)
         if score > best_score:
             best_score = score
             best_k = k_prime
             best_set = agreed
-    return ConsensusResult(best_k, best_set, scores)
+    return ConsensusResult(best_k, best_set)
 
 
 def contrast_scores(
@@ -150,7 +147,7 @@ def contrast_scores(
 
 def _validation_domain(entries: list[tuple[PrefixCode, float]]) -> CandidateDomain:
     prefixes = sorted((code for code, _ in entries), key=lambda c: c.bits)
-    return CandidateDomain(prefixes[0].length, prefixes, has_dummy=True)
+    return CandidateDomain(prefixes[0].length, prefixes)
 
 
 def _ascending_codes(est) -> list[PrefixCode]:
@@ -169,32 +166,29 @@ def consensus_prune_level(
     params: ProtocolParams,
     run_key: int,
     gamma: float,
-) -> tuple[CandidateDomain, set[PrefixCode], np.ndarray, list[ConsensusResult]]:
+) -> tuple[CandidateDomain, np.ndarray]:
     """Run both agreement tests and prune the domain for the main estimate.
 
-    Returns the (possibly unchanged) domain, the full agreed set, the user
-    indices left for the main estimate, and the consensus traces. With no
-    package or a zero validation budget this is a no-op.
+    Returns the (possibly unchanged) domain and the user indices left for
+    the main estimate. With no package or a zero validation budget this is a
+    no-op.
     """
     n_val = int(len(group) * params.dividing_ratio)
     if package is None or n_val == 0:
-        return domain, set(), group, []
+        return domain, group
     val0 = group[:n_val]
     val1 = group[n_val : 2 * n_val]
     main = group[2 * n_val :]
     agreed: set[PrefixCode] = set()
-    traces: list[ConsensusResult] = []
     if package.infrequent:
         key = derive_key(run_key, party.party_id, package.level, SUB_VAL0)
         est = estimate_level(
             party, _validation_domain(package.infrequent), val0, params, key
         )
         previous_asc = [code for code, _ in package.infrequent]
-        result = consensus_filter(
+        agreed |= consensus_filter(
             previous_asc, _ascending_codes(est), params.k, params.epsilon, gamma
-        )
-        agreed |= result.pruned
-        traces.append(result)
+        ).pruned
     if package.frequent:
         key = derive_key(run_key, party.party_id, package.level, SUB_VAL1)
         est = estimate_level(
@@ -202,26 +196,18 @@ def consensus_prune_level(
         )
         validated = list(zip(est.ranked.prefixes, est.ranked.frequencies))
         collapsed = [code for code, _ in contrast_scores(package.frequent, validated)]
-        result = consensus_filter(
+        agreed |= consensus_filter(
             collapsed, _ascending_codes(est), params.k, params.epsilon, gamma
-        )
-        agreed |= result.pruned
-        traces.append(result)
+        ).pruned
     keep = [code for code in domain.prefixes if code not in agreed]
     if not keep or len(keep) == len(domain.prefixes):
         # Nothing to prune, or pruning would empty the level; estimate on the
         # original domain either way.
-        return domain, agreed, main, traces
-    pruned_domain = CandidateDomain(domain.level_length, keep, has_dummy=True)
-    return pruned_domain, agreed, main, traces
+        return domain, main
+    return CandidateDomain(domain.level_length, keep), main
 
 
-def run_taps(
-    parties: list[PartyState],
-    params: ProtocolParams,
-    run_key: int,
-    trace: UploadTrace | None = None,
-) -> ServerAggregate:
+def run_taps(parties: list[PartyState], params: ProtocolParams, run_key: int) -> RunResult:
     """The two-phase adaptive mechanism with sequential consensus pruning.
 
     Phase I is the shared shallow trie, unchanged. In phase II parties run in
@@ -229,10 +215,11 @@ def run_taps(
     emits a pruning package consumed by its successor at the same level. With
     a single party this reduces exactly to the unpruned mechanism.
     """
-    if not parties:
-        raise ProtocolError("need at least one party")
+    groups = _tap_groups(parties, params, run_key)
+    shared = run_stc(parties, params, run_key, groups)
+    if not shared.topk:
+        return _no_phase_two(parties, params, shared)
     ordered = order_parties(parties)
-    shared = run_stc(parties, params, run_key, trace)
     total_users = sum(p.n_users for p in parties)
     # A zero validation budget disables the exchange outright: no packages
     # are emitted, so costs and results match the unpruned mechanism.
@@ -240,7 +227,8 @@ def run_taps(
     l_shared = level_length(params.g_s, params.m, params.g)
     incoming: dict[int, PruningPackage] = {}
     previous_party: PartyState | None = None
-    reports = []
+    uploads = {}
+    package_pairs = 0
     for position, party in enumerate(ordered):
         outgoing: dict[int, PruningPackage] = {}
         gamma = (
@@ -248,15 +236,14 @@ def run_taps(
             if previous_party is None
             else (1.0 - previous_party.n_users / total_users) ** 2
         )
-        parents = shared
+        parents = shared.topk
         l_prev = l_shared
         est = None
         t = 0
         for h in range(params.g_s + 1, params.g + 1):
             domain = construct_domain(parents, level_length(h, params.m, params.g), l_prev)
-            group = party.level_groups[h]
-            domain, _, main, _ = consensus_prune_level(
-                party, domain, incoming.get(h), group, params, run_key, gamma
+            domain, main = consensus_prune_level(
+                party, domain, incoming.get(h), groups[party.party_id][h], params, run_key, gamma
             )
             key = derive_key(run_key, party.party_id, h, SUB_MAIN)
             est = estimate_level(party, domain, main, params, key)
@@ -266,41 +253,9 @@ def run_taps(
                 package = select_pruning_candidates(est.ranked, params.k, h)
                 if package is not None:
                     outgoing[h] = package
-                    if trace is not None:
-                        trace.add_package(package.n_pairs)
-        entries = _positive_entries(est, t)
-        party.current_candidates = [code for code, _ in entries]
-        party.current_counts = dict(entries)
-        if trace is not None:
-            trace.add_report(len(entries))
-        reports.append((party.party_id, entries))
+                    package_pairs += package.n_pairs
+        uploads[party.party_id] = _positive_entries(est, t)
         incoming = outgoing
         previous_party = party
-    return _merge_reports(reports, params.k)
-
-
-def serialize_package(package: PruningPackage) -> str:
-    """Line-oriented audit form: level, list kind, prefix bits, frequency."""
-    lines = []
-    for kind, entries in (("frequent", package.frequent), ("infrequent", package.infrequent)):
-        for code, freq in entries:
-            lines.append(f"{package.level} {kind} {code} {freq!r}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_package(text: str) -> dict[int, PruningPackage]:
-    """Inverse of :func:`serialize_package`, grouped by level."""
-    packages: dict[int, PruningPackage] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            level_str, kind, bits, freq = line.split()
-            if kind not in ("frequent", "infrequent"):
-                raise ValueError(f"unknown list kind {kind!r}")
-            entry = (PrefixCode(int(bits, 2), len(bits)), float(freq))
-            package = packages.setdefault(int(level_str), PruningPackage(int(level_str), [], []))
-            getattr(package, kind).append(entry)
-        except ValueError as exc:
-            raise ValueError(f"bad package line {line_no}: {line!r}") from exc
-    return packages
+    reports = [(party.party_id, uploads[party.party_id]) for party in parties]
+    return _merge_reports(reports, params.k, shared.report_pairs, package_pairs)

@@ -2,10 +2,14 @@
 
 A config is a flat key=value text file whose keys mirror the field names
 below; CLI flags override file values. Epsilon and k accept comma lists and
-the cross product is enumerated. Every repetition derives its own key from
-the root seed, regenerates the dataset (for the synthetic recipe), runs the
-chosen mechanism, and scores the result against the exact top-k, so the root
-seed fully determines every output column except wall_time_ms.
+the cross product is enumerated. A config is checked when it is built, so a
+bad combination of fields raises ValueError there rather than inside a job.
+Every repetition derives its own key from the root seed, regenerates the
+dataset (for the synthetic recipe), runs the chosen mechanism, and scores
+its :class:`~fedhh.protocol.RunResult` against the exact top-k: F1 and NCR
+from the result's top-k, average local recall from each party's upload and
+uploaded bytes from its pair totals. The root seed fully determines every
+output column except wall_time_ms.
 """
 
 from __future__ import annotations
@@ -34,14 +38,12 @@ from fedhh.datagen import (
 from fedhh.protocol import (
     PartyState,
     ProtocolParams,
-    ServerAggregate,
-    UploadTrace,
-    _merge_reports,
+    RunResult,
     run_fedpem,
     run_pem_single,
     run_tap,
 )
-from fedhh.pruning import active_levels, run_taps
+from fedhh.pruning import run_taps
 
 MECHANISMS = ("pem", "fedpem", "tap", "taps")
 CSV_HEADER = [
@@ -97,6 +99,16 @@ class ExperimentConfig:
             raise ValueError("need at least one epsilon value")
         if not self.k or any(k < 2 for k in self.k):
             raise ValueError("k values must be at least 2")
+        # Repeats would give rows the same run_id and double-count mean rows.
+        if len(set(self.epsilon)) < len(self.epsilon) or len(set(self.k)) < len(self.k):
+            raise ValueError(f"epsilon and k values must not repeat, got {self.epsilon} and {self.k}")
+        self.protocol_params(self.epsilon[0], self.k[0])  # raises on bad protocol fields
+        if self.dirichlet_beta <= 0:
+            raise ValueError("dirichlet_beta must be positive")
+        if not 1 <= self.n_groups <= self.pool_size:
+            raise ValueError(f"need 1 <= n_groups <= pool_size, got {self.n_groups} and {self.pool_size}")
+        if self.dataset == "syn" and self.pool_size > 2**self.m:
+            raise ValueError(f"a pool of {self.pool_size} items does not fit in m={self.m} bits")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if self.threads < 1:
@@ -276,26 +288,21 @@ def _build_parties(config: ExperimentConfig, repetition: int, manifest_arrays: l
 # execution
 
 def _execute(
-    mechanism: str,
-    parties: list[PartyState],
-    params: ProtocolParams,
-    run_key: int,
-    trace: UploadTrace,
-) -> tuple[ServerAggregate, list[PartyState]]:
+    mechanism: str, parties: list[PartyState], params: ProtocolParams, run_key: int
+) -> RunResult:
     if mechanism == "tap":
-        return run_tap(parties, params, run_key, trace), parties
+        return run_tap(parties, params, run_key)
     if mechanism == "taps":
-        return run_taps(parties, params, run_key, trace), parties
+        return run_taps(parties, params, run_key)
     if mechanism == "fedpem":
-        return run_fedpem(parties, params, run_key, trace), parties
+        return run_fedpem(parties, params, run_key)
     # pem: the centralized baseline pools every user into one population
     pooled = PartyState(
         party_id=0,
         users=np.concatenate([p.users for p in parties]),
         item_length=parties[0].item_length,
     )
-    entries = run_pem_single(pooled, params, run_key, trace)
-    return _merge_reports([(0, entries)], params.k), [pooled]
+    return run_pem_single(pooled, params, run_key)
 
 
 def _run_one(
@@ -311,24 +318,21 @@ def _run_one(
     if len(truth.topk) < k:
         raise ValueError(f"dataset holds only {len(truth.topk)} distinct items, need k={k}")
     params = config.protocol_params(epsilon, k)
-    trace = UploadTrace()
     start = time.perf_counter()
-    aggregate, recall_parties = _execute(config.mechanism, parties, params, run_key, trace)
+    result = _execute(config.mechanism, parties, params, run_key)
     wall_ms = (time.perf_counter() - start) * 1000.0
     truth_codes = truth.codes
-    local_lists = [
-        (party.current_candidates or [])[:k] for party in recall_parties
-    ]
+    local_lists = [[code for code, _ in entries[:k]] for _, entries in result.uploads]
     return RunRecord(
         run_id=f"{config.mechanism}-eps{epsilon:g}-k{k}-rep{repetition:03d}",
         mechanism=config.mechanism,
         oracle=config.oracle,
         epsilon=epsilon,
         k=k,
-        f1=metrics.f1_score(aggregate.topk, truth_codes),
-        ncr=metrics.ncr_score(aggregate.topk, truth_codes, k, quality=config.ncr_quality),
+        f1=metrics.f1_score(result.topk, truth_codes),
+        ncr=metrics.ncr_score(result.topk, truth_codes, k, quality=config.ncr_quality),
         avg_local_recall=metrics.avg_local_recall(local_lists, truth_codes, k),
-        uploaded_bytes=trace.uploaded_bytes,
+        uploaded_bytes=result.uploaded_bytes,
         wall_time_ms=wall_ms,
         seed=run_key,
     )
@@ -380,34 +384,9 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     return records
 
 
-def account_costs(trace: UploadTrace, params: ProtocolParams | None = None, n_parties: int | None = None) -> dict:
-    """Byte and pair totals for a traced run, plus the package-cost cap.
-
-    With ``params`` and ``n_parties`` the summary includes the structural cap
-    on package bytes (active levels x parties x 4k pairs) and whether the
-    trace stayed inside it.
-    """
-    summary = {
-        "uploaded_bytes": trace.uploaded_bytes,
-        "report_pairs": trace.report_pairs,
-        "package_pairs": trace.package_pairs,
-        "package_emissions": trace.package_emissions,
-    }
-    if params is not None and n_parties is not None:
-        g_star = 0 if params.dividing_ratio == 0 else len(active_levels(params))
-        cap = g_star * n_parties * 4 * params.k * trace.pair_size
-        summary["g_star"] = g_star
-        summary["package_bytes_cap"] = cap
-        summary["package_bytes_within_cap"] = trace.package_pairs * trace.pair_size <= cap
-    return summary
-
-
 def write_csv(records: list[RunRecord], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for record in records:
-            writer.writerow(record.to_row())
+        handle.write(records_to_csv(records))
 
 
 def records_to_csv(records: list[RunRecord]) -> str:

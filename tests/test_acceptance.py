@@ -28,7 +28,7 @@ from fedhh.oracles import (
     variance,
 )
 from fedhh.prefix_codec import PrefixCode
-from fedhh.protocol import ProtocolParams, UploadTrace, run_fedpem, run_tap
+from fedhh.protocol import ProtocolParams, run_fedpem, run_tap
 from fedhh.pruning import consensus_filter, run_taps
 from fedhh.runner import CSV_HEADER, ExperimentConfig, _dataset_rng, _scaled_specs, records_to_csv, run_experiment
 
@@ -223,21 +223,19 @@ def _syn_rep(rep):
                 m=48, g=24, g_s=6, k=10, epsilon=eps, oracle="krr",
                 dividing_ratio=0.1, fixed_t=fixed_t,
             )
-            trace = UploadTrace()
-            agg = runner(parties, params, run_key, trace)
+            result = runner(parties, params, run_key)
             out[(label, eps)] = (
-                f1_score(agg.topk, truth),
-                trace.uploaded_bytes,
-                trace.package_pairs,
+                f1_score(result.topk, truth),
+                result.uploaded_bytes,
+                result.package_pairs,
             )
     for t in FIXED_T:
         params = ProtocolParams(
             m=48, g=24, g_s=6, k=10, epsilon=4.0, oracle="krr",
             dividing_ratio=0.1, fixed_t=t,
         )
-        trace = UploadTrace()
-        agg = run_tap(parties, params, run_key, trace)
-        out[(f"fixed{t}", 4.0)] = (f1_score(agg.topk, truth), trace.uploaded_bytes, 0)
+        result = run_tap(parties, params, run_key)
+        out[(f"fixed{t}", 4.0)] = (f1_score(result.topk, truth), result.uploaded_bytes, 0)
     return out
 
 

@@ -209,15 +209,6 @@ def test_ingest_unknown_token_names_line(tmp_path):
         ingest_party_file(str(party), {"a": 0}, 4)
 
 
-def test_ingest_auto_extend(tmp_path):
-    party = tmp_path / "party.txt"
-    party.write_text("a\nnew\nnew\n", encoding="utf-8")
-    vocab = {"a": 0}
-    users = ingest_party_file(str(party), vocab, 4, auto_extend=True)
-    assert users.tolist() == [0, 1, 1]
-    assert vocab == {"a": 0, "new": 1}
-
-
 def test_ingest_capacity_check(tmp_path):
     party = tmp_path / "party.txt"
     party.write_text("d\n", encoding="utf-8")

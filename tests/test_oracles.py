@@ -187,6 +187,21 @@ def test_perturb_olh_keeps_true_bucket_at_rate_p():
     assert abs(kept / n - config.p) <= 4 * se
 
 
+@pytest.mark.parametrize("eps", [43.0, 50.0, 700.0])
+def test_perturb_olh_at_large_epsilon(eps):
+    # d' - 1 passes 2**63 from eps ~ 44 on; the replacement bucket must still
+    # be drawable, and the true bucket kept at rate p.
+    config = OracleConfig("olh", eps, 4)
+    rng = np.random.default_rng(int(eps))
+    n = 4_000
+    kept = 0
+    for _ in range(n):
+        report = oracles.perturb(config, 1, rng)
+        kept += report.bucket == olh_bucket(report.hash_seed, 1, config.d_prime)
+    se = math.sqrt(config.p * (1 - config.p) / n)
+    assert abs(kept / n - config.p) <= 4.5 * se
+
+
 def test_perturb_index_range_checked():
     config = OracleConfig("krr", 1.0, 4)
     with pytest.raises(ValueError):

@@ -4,13 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fedhh.prefix_codec import (
-    CandidateDomain,
     PrefixCode,
     construct_domain,
-    encode_item,
     full_level_domain,
     level_length,
-    prefix_of,
 )
 
 
@@ -19,19 +16,19 @@ def _codes(bit_strings):
 
 
 # ---------------------------------------------------------------------------
-# encode_item / prefix_of
+# item codes: an item index i is the m-bit code PrefixCode(i, m)
 
 
 def test_encode_zero():
-    assert str(encode_item(0, 4)) == "0000"
+    assert str(PrefixCode(0, 4)) == "0000"
 
 
 def test_encode_five_four_bits():
-    assert str(encode_item(5, 4)) == "0101"
+    assert str(PrefixCode(5, 4)) == "0101"
 
 
 def test_encode_all_ones_boundary():
-    code = encode_item(2**48 - 1, 48)
+    code = PrefixCode(2**48 - 1, 48)
     assert code.bits == 2**48 - 1
     assert code.length == 48
     assert str(code) == "1" * 48
@@ -39,29 +36,11 @@ def test_encode_all_ones_boundary():
 
 def test_encode_out_of_range():
     with pytest.raises(ValueError):
-        encode_item(16, 4)
+        PrefixCode(16, 4)
     with pytest.raises(ValueError):
-        encode_item(-1, 4)
+        PrefixCode(-1, 4)
     with pytest.raises(ValueError):
-        encode_item(0, 65)
-
-
-def test_prefix_truncation():
-    assert str(prefix_of(PrefixCode(0b0101, 4), 2)) == "01"
-    assert str(prefix_of(PrefixCode(0b110000, 6), 3)) == "110"
-
-
-def test_prefix_identity():
-    code = PrefixCode(0b0101, 4)
-    assert prefix_of(code, 4) == code
-
-
-def test_prefix_errors():
-    code = PrefixCode(0b0101, 4)
-    with pytest.raises(ValueError):
-        prefix_of(code, 5)
-    with pytest.raises(ValueError):
-        prefix_of(code, 0)
+        PrefixCode(0, 65)
 
 
 def test_prefixcode_validation():
@@ -71,15 +50,6 @@ def test_prefixcode_validation():
         PrefixCode(0, 0)
     with pytest.raises(ValueError):
         PrefixCode(0, 65)
-
-
-@given(st.integers(min_value=0, max_value=2**20 - 1), st.data())
-def test_prefix_idempotence(item, data):
-    """prefix_of(prefix_of(c, l2), l1) == prefix_of(c, l1) for l1 <= l2."""
-    code = encode_item(item, 20)
-    l2 = data.draw(st.integers(min_value=1, max_value=20))
-    l1 = data.draw(st.integers(min_value=1, max_value=l2))
-    assert prefix_of(prefix_of(code, l2), l1) == prefix_of(code, l1)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +85,7 @@ def test_construct_two_parents():
         "0000", "0001", "0010", "0011", "1000", "1001", "1010", "1011",
     ]
     assert domain.level_length == 4
-    assert domain.has_dummy
-    assert domain.alphabet_size == 9
+    assert domain.alphabet_size == 9  # eight prefixes plus the dummy slot
 
 
 def test_construct_single_parent():
@@ -172,8 +141,3 @@ def test_full_level_domain():
 def test_full_level_domain_refuses_huge():
     with pytest.raises(ValueError):
         full_level_domain(25)
-
-
-def test_alphabet_size_without_dummy():
-    domain = CandidateDomain(2, _codes(["00", "11"]), has_dummy=False)
-    assert domain.alphabet_size == 2

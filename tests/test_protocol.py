@@ -1,5 +1,9 @@
 """Trie protocol engines: grouping, level estimation, STC, TAP, PEM."""
 
+import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from fedhh.protocol import (
     run_stc,
     run_tap,
 )
+from fedhh.pruning import run_taps
 
 
 def _params(**kw):
@@ -27,6 +32,11 @@ def _params(**kw):
 
 def _party(party_id, items, m):
     return PartyState(party_id=party_id, users=np.asarray(items, dtype=np.uint64), item_length=m)
+
+
+def _stc(parties, params, run_key):
+    groups = {p.party_id: assign_groups(p, params, run_key, "tap") for p in parties}
+    return run_stc(parties, params, run_key, groups).topk
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +60,8 @@ def _party(party_id, items, m):
         dict(fixed_t=0),
         dict(epsilon=float("nan")),
         dict(epsilon=800.0),  # e^eps would reach the float limit inside a run
+        dict(m=64, g=2, g_s=1),  # 2**32 first-level prefixes
+        dict(m=4, g=8),  # levels would repeat a prefix length
     ],
 )
 def test_params_validation(kw):
@@ -69,6 +81,18 @@ def test_party_state_validation():
     assert party.users.dtype == np.uint64
 
 
+def test_party_state_is_read_only():
+    items = np.array([1, 2, 3], dtype=np.uint64)
+    party = _party(3, items, 8)
+    for name, value in (("party_id", 4), ("users", items), ("item_length", 9)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(party, name, value)
+    with pytest.raises(ValueError, match="read-only"):
+        party.users[0] = 7
+    items[0] = 5  # the caller's array stays writable
+    assert party.users[0] == 5
+
+
 # ---------------------------------------------------------------------------
 # group assignment
 
@@ -76,20 +100,20 @@ def test_party_state_validation():
 def test_assign_groups_tap_partition():
     party = _party(0, np.zeros(1000), 48)
     params = ProtocolParams()  # m=48, g=24, g_s=6, 10% phase one
-    assign_groups(party, params, run_key=11, mode="tap")
-    assert sorted(party.level_groups) == list(range(1, 25))
-    phase1 = sum(len(party.level_groups[h]) for h in range(1, 7))
+    groups = assign_groups(party, params, run_key=11, mode="tap")
+    assert sorted(groups) == list(range(1, 25))
+    phase1 = sum(len(groups[h]) for h in range(1, 7))
     assert phase1 == 100
-    all_idx = np.concatenate([party.level_groups[h] for h in range(1, 25)])
+    all_idx = np.concatenate([groups[h] for h in range(1, 25)])
     assert np.array_equal(np.sort(all_idx), np.arange(1000))
 
 
 def test_assign_groups_pem_even_split():
     party = _party(0, np.zeros(1000), 48)
-    assign_groups(party, ProtocolParams(), run_key=11, mode="pem")
-    sizes = sorted(len(party.level_groups[h]) for h in range(1, 25))
+    groups = assign_groups(party, ProtocolParams(), run_key=11, mode="pem")
+    sizes = sorted(len(groups[h]) for h in range(1, 25))
     assert sizes == [41] * 8 + [42] * 16
-    all_idx = np.concatenate(list(party.level_groups.values()))
+    all_idx = np.concatenate(list(groups.values()))
     assert np.array_equal(np.sort(all_idx), np.arange(1000))
 
 
@@ -97,13 +121,10 @@ def test_assign_groups_deterministic_per_party():
     a1 = _party(0, np.zeros(500), 48)
     a2 = _party(0, np.zeros(500), 48)
     b = _party(1, np.zeros(500), 48)
-    for p in (a1, a2, b):
-        assign_groups(p, ProtocolParams(), run_key=77, mode="tap")
-    for h in a1.level_groups:
-        assert np.array_equal(a1.level_groups[h], a2.level_groups[h])
-    assert any(
-        not np.array_equal(a1.level_groups[h], b.level_groups[h]) for h in a1.level_groups
-    )
+    g1, g2, gb = (assign_groups(p, ProtocolParams(), run_key=77, mode="tap") for p in (a1, a2, b))
+    for h in g1:
+        assert np.array_equal(g1[h], g2[h])
+    assert any(not np.array_equal(g1[h], gb[h]) for h in g1)
 
 
 def test_assign_groups_unknown_mode():
@@ -124,7 +145,6 @@ def test_estimate_level_noiseless_rank_one():
     assert np.all(np.abs(est.ranked.frequencies[1:]) < 1e-2)
     assert est.scaled_counts[0] == pytest.approx(2000, rel=1e-2)
     assert est.ranked.sigma > 0
-    assert not est.empty_group
 
 
 def test_estimate_level_out_of_domain_goes_to_dummy():
@@ -157,7 +177,6 @@ def test_estimate_level_empty_group():
     est = estimate_level(
         party, full_level_domain(2), np.array([], dtype=np.int64), _params(m=4, g=2), 1
     )
-    assert est.empty_group
     assert np.all(est.ranked.frequencies == 0)
     assert np.all(est.scaled_counts == 0)
     assert est.ranked.sigma > 0
@@ -165,9 +184,7 @@ def test_estimate_level_empty_group():
 
 def test_estimate_level_requires_dummy_and_candidates():
     party = _party(0, np.array([0]), 4)
-    no_dummy = CandidateDomain(2, [PrefixCode(0, 2)], has_dummy=False)
-    with pytest.raises(ProtocolError, match="dummy"):
-        estimate_level(party, no_dummy, np.arange(1), _params(m=4, g=2), 1)
+    assert CandidateDomain(2, [PrefixCode(0, 2)]).alphabet_size == 2  # the dummy slot is built in
     with pytest.raises(ProtocolError, match="empty"):
         estimate_level(party, CandidateDomain(2, []), np.arange(1), _params(m=4, g=2), 1)
 
@@ -192,7 +209,7 @@ def _two_branch_parties(scale=10):
 
 def test_stc_two_parties_agree_on_shared_prefixes():
     a, b = _two_branch_parties()
-    shared = run_stc([a, b], _params(m=4, g=2, g_s=1, k=2), run_key=2024)
+    shared = _stc([a, b], _params(m=4, g=2, g_s=1, k=2), run_key=2024)
     assert set(shared) == {PrefixCode(0b00, 2), PrefixCode(0b10, 2)}
     assert len(shared) == 2
 
@@ -201,20 +218,31 @@ def test_stc_single_party_is_its_own_top_k():
     items = np.concatenate(
         [np.full(7000, 0b0000), np.full(2000, 0b1000), np.full(1000, 0b1100)]
     )
-    shared = run_stc([_party(0, items, 4)], _params(m=4, g=2, g_s=1, k=2), run_key=1)
+    shared = _stc([_party(0, items, 4)], _params(m=4, g=2, g_s=1, k=2), run_key=1)
     assert shared == [PrefixCode(0b00, 2), PrefixCode(0b10, 2)]
 
 
 def test_stc_rejects_empty_party_list():
     with pytest.raises(ProtocolError, match="at least one"):
-        run_stc([], _params(), run_key=1)
+        run_stc([], _params(), 1, {})
 
 
-def test_stc_all_zero_counts_is_an_error():
-    # Five users leave the phase-one groups empty, so nothing positive exists.
+def test_stc_all_zero_counts_gives_an_empty_trie():
+    # Five users leave the phase-one groups empty, so nothing positive exists:
+    # the shared trie is empty and phase II has nothing to extend.
     party = _party(0, np.arange(5), 48)
-    with pytest.raises(ProtocolError, match="positive"):
-        run_stc([party], ProtocolParams(), run_key=1)
+    assert _stc([party], ProtocolParams(), run_key=1) == []
+    for engine in (run_tap, run_taps):
+        result = engine([party], ProtocolParams(), run_key=1)
+        assert result.topk == [] and result.merged == {}
+        assert result.uploads == [(0, [])]
+        assert result.uploaded_bytes == 0
+
+
+def test_tap_rejects_repeated_party_ids():
+    items = np.arange(100) % 16
+    with pytest.raises(ProtocolError, match="distinct"):
+        run_tap([_party(0, items, 8), _party(0, items, 8)], _params(), run_key=1)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +260,10 @@ def test_tap_adaptive_two_dominant_items():
     parties = [_party(0, items.copy(), 8), _party(1, items.copy(), 8)]
     agg = run_tap(parties, _params(), run_key=99)
     assert agg.topk == [PrefixCode(0x00, 8), PrefixCode(0x40, 8)]
-    for _, entries in agg.per_party_reports:
+    assert [party_id for party_id, _ in agg.uploads] == [0, 1]
+    for _, entries in agg.uploads:
         assert len(entries) >= 2
         assert {c for c, _ in entries} == {PrefixCode(0x00, 8), PrefixCode(0x40, 8)}
-    for party in parties:
-        assert set(party.current_candidates) == {PrefixCode(0x00, 8), PrefixCode(0x40, 8)}
 
 
 def test_tap_fixed_extension_recovers_exact_top_k():
@@ -298,8 +325,9 @@ def test_pem_single_near_noiseless_recovery():
         [PartySpec(50_000, "zipf", 1.5)], 1024, 1, np.random.default_rng(11), m=10
     )
     params = ProtocolParams(m=10, g=5, g_s=1, k=10, epsilon=20.0, oracle="krr")
-    entries = run_pem_single(parties[0], params, run_key=777)
-    estimated = [code for code, _ in entries[:10]]
+    result = run_pem_single(parties[0], params, run_key=777)
+    estimated = [code for code, _ in result.uploads[0][1][:10]]
+    assert result.topk == estimated
     truth = exact_topk([_party(0, parties[0].users.copy(), 10)], 10).codes
     assert f1_score(estimated, truth) >= 0.85
 
@@ -332,3 +360,28 @@ def test_fedpem_identical_parties_recover_exact_top_k():
 def test_fedpem_rejects_empty_party_list():
     with pytest.raises(ProtocolError, match="at least one"):
         run_fedpem([], _params(), run_key=1)
+
+
+# ---------------------------------------------------------------------------
+# engines leave their inputs alone
+
+
+def test_engines_on_shared_parties_match_from_four_threads():
+    parties = _noisy_parties(9)
+    before = [p.users.copy() for p in parties]
+    params = _params(m=16, g=8, g_s=2, k=6, epsilon=2.0)
+    jobs = [(engine, key) for engine in (run_tap, run_taps, run_fedpem) for key in (1, 2, 3, 4)]
+    sequential = [engine(parties, params, key) for engine, key in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside engine steps
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = pool.map(lambda job: job[0](parties, params, job[1]), jobs, timeout=120)
+            concurrent = list(runs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == sequential
+    assert all(np.array_equal(p.users, b) for p, b in zip(parties, before))
+    for result in sequential:
+        assert [party_id for party_id, _ in result.uploads] == [0, 1]
+        assert result.report_pairs >= sum(len(entries) for _, entries in result.uploads)

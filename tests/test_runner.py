@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedhh import oracles
 from fedhh.datagen import PartySpec, generate_syn
-from fedhh.protocol import PartyState, ProtocolParams, UploadTrace, run_fedpem
+from fedhh.protocol import PartyState, ProtocolParams, run_fedpem, run_tap
+from fedhh.pruning import active_levels, run_taps
 from fedhh.runner import (
     CSV_HEADER,
+    MECHANISMS,
     ExperimentConfig,
     _dataset_rng,
     _scaled_specs,
-    account_costs,
     build_config,
     load_manifest,
     main,
@@ -85,11 +89,60 @@ def test_build_config_rejects_unknown_key():
         dict(ncr_quality="ranked"),
         dict(epsilon=(4.0, float("nan"))),
         dict(epsilon=(800.0,)),
+        dict(g=2, g_s=5),
+        dict(m=100),
+        dict(m=64, g=2),  # 2**32 first-level prefixes
+        dict(m=4, g=8),  # more levels than bits
+        dict(fixed_t=0),
+        dict(phase1_user_fraction=1.5),
+        dict(dirichlet_beta=0.0),
+        dict(pool_size=3, n_groups=6),
+        dict(n_groups=0),
+        dict(m=8),  # the default 33,000-item pool does not fit in 8 bits
+        dict(epsilon=(2.0, 2.0)),  # repeats would share run ids
+        dict(k=(5, 10, 5)),
     ],
 )
 def test_config_validation(kw):
     with pytest.raises(ValueError):
         ExperimentConfig(**kw)
+
+
+# Each field draws from a few values, the first valid (Hypothesis shrinks
+# towards it) and the last often invalid, so both outcomes occur often.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    mechanism=st.sampled_from(MECHANISMS),
+    oracle=st.sampled_from(oracles.KINDS),
+    epsilon=st.lists(st.sampled_from([4.0, 0.5, 50.0]), min_size=1, max_size=2, unique=True),
+    k=st.lists(st.sampled_from([5, 2, 10, 1]), min_size=1, max_size=2, unique=True),
+    m=st.sampled_from([10, 6, 12, 3, 0]),
+    g=st.sampled_from([4, 2, 6, 12, 1]),
+    g_s=st.none() | st.sampled_from([1, 2, 4, 0]),
+    fixed_t=st.none() | st.sampled_from([3, 1, 12, 0]),
+    phase1_user_fraction=st.sampled_from([0.1, 0.002, 0.3, 0.99, 1.5]),
+    scale=st.sampled_from([0.002, 0.0002]),
+    dividing_ratio=st.sampled_from([0.1, 0.0, 0.2, 0.49, 0.5]),
+    pool_size=st.sampled_from([200, 1, 12, 5000]),
+    n_groups=st.sampled_from([3, 1, 6, 0]),
+    dirichlet_beta=st.sampled_from([0.5, 1e-3, 10.0, 0.0]),
+)
+def test_every_config_is_rejected_or_runs(**fields):
+    """Construction raises ValueError, or every job of the config runs.
+
+    The one run-time failure allowed is data-dependent: the drawn dataset
+    holding fewer than k distinct items.
+    """
+    try:
+        config = ExperimentConfig(repetitions=1, root_seed=5, **fields)
+    except ValueError:
+        return
+    try:
+        records = run_experiment(config)
+    except ValueError as exc:
+        assert "distinct items" in str(exc)
+        return
+    assert len(records) == 2 * len(config.epsilon) * len(config.k)
 
 
 def test_config_scalar_epsilon_and_k_are_promoted():
@@ -101,7 +154,7 @@ def test_config_scalar_epsilon_and_k_are_promoted():
 def test_g_s_resolution():
     assert ExperimentConfig().g_s_resolved == 6  # floor(0.25 * 24)
     assert ExperimentConfig(g=10, m=20).g_s_resolved == 2
-    assert ExperimentConfig(g=2, m=4).g_s_resolved == 1
+    assert ExperimentConfig(g=2, m=4, pool_size=16).g_s_resolved == 1
     assert ExperimentConfig(g_s=3).g_s_resolved == 3
 
 
@@ -273,38 +326,40 @@ def test_fedpem_upload_cost_two_parties():
     items = np.tile(np.arange(16), 125).astype(np.uint64)
     parties = [PartyState(i, items.copy(), 6) for i in range(2)]
     params = ProtocolParams(m=6, g=3, g_s=1, k=10, epsilon=20.0)
-    trace = UploadTrace()
-    run_fedpem(parties, params, run_key=12, trace=trace)
-    assert trace.report_pairs == 20
-    assert trace.uploaded_bytes == 320
+    result = run_fedpem(parties, params, run_key=12)
+    assert result.report_pairs == 20
+    assert result.package_pairs == 0
+    assert result.uploaded_bytes == 320
+
+
+def _taps_parties():
+    specs = [PartySpec(3000, "zipf", 1.5), PartySpec(2000, "poisson", 6.0), PartySpec(1000, "zipf", 1.3)]
+    return generate_syn(specs, 600, 3, np.random.default_rng(4), m=16)
 
 
 def test_account_costs_reports_package_cap():
-    trace = UploadTrace(report_pairs=10, package_pairs=8, package_emissions=2)
-    summary = account_costs(trace, ProtocolParams(), n_parties=8)
-    assert summary["uploaded_bytes"] == 18 * 16
-    assert summary["g_star"] == 13
-    assert summary["package_bytes_cap"] == 13 * 8 * 4 * 10 * 16
-    assert summary["package_bytes_within_cap"]
+    # Packages cost at most active levels x parties x 4k pairs, 16 bytes each.
+    params = ProtocolParams(m=16, g=8, g_s=2, k=2, epsilon=4.0)
+    parties = _taps_parties()
+    result = run_taps(parties, params, run_key=3)
+    cap = len(active_levels(params)) * len(parties) * 4 * params.k * 16
+    assert 0 < result.package_pairs * 16 <= cap
 
 
 def test_account_costs_zero_ratio_has_zero_cap():
-    trace = UploadTrace(report_pairs=10)
-    params = ProtocolParams(dividing_ratio=0.0)
-    summary = account_costs(trace, params, n_parties=4)
-    assert summary["g_star"] == 0
-    assert summary["package_bytes_cap"] == 0
-    assert summary["package_bytes_within_cap"]
+    # No validation budget, no packages: taps costs exactly what tap costs.
+    params = ProtocolParams(m=16, g=8, g_s=2, k=2, epsilon=4.0, dividing_ratio=0.0)
+    pruned = run_taps(_taps_parties(), params, run_key=3)
+    plain = run_tap(_taps_parties(), params, run_key=3)
+    assert pruned.package_pairs == 0
+    assert pruned.uploaded_bytes == plain.uploaded_bytes
 
 
 def test_account_costs_without_params_is_totals_only():
-    summary = account_costs(UploadTrace(report_pairs=3))
-    assert summary == {
-        "uploaded_bytes": 48,
-        "report_pairs": 3,
-        "package_pairs": 0,
-        "package_emissions": 0,
-    }
+    result = run_taps(_taps_parties(), ProtocolParams(m=16, g=8, g_s=2, k=2, epsilon=4.0), run_key=3)
+    final_pairs = sum(len(entries) for _, entries in result.uploads)
+    assert result.report_pairs > final_pairs  # phase I reports count too
+    assert result.uploaded_bytes == 16 * (result.report_pairs + result.package_pairs)
 
 
 # ---------------------------------------------------------------------------
