@@ -14,16 +14,22 @@ or Poisson law over the party's own ranking of its domain, and that ranking
 is an independent uniform permutation per party: which items are popular
 differs from party to party, which is the cross-party skew the protocols
 have to cope with.
+
+Parties are histograms (see :class:`~fedhh.protocol.PartyState`): a party's
+counts are one multinomial draw over its ranked domain, the same law as n
+independent per-user draws, so building a dataset costs O(distinct items)
+whatever the number of users. Ingested party files are counted the same way.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from fedhh.prefix_codec import PrefixCode
-from fedhh.protocol import PartyState
+from fedhh.protocol import PartyState, pool_counts
 
 LAWS = ("zipf", "poisson")
 
@@ -108,13 +114,6 @@ def law_weights(spec: PartySpec, domain_size: int) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _law_ranks(spec: PartySpec, domain_size: int, rng: np.random.Generator) -> np.ndarray:
-    if spec.law == "poisson":
-        draws = rng.poisson(spec.param, size=spec.n_users)
-        return np.minimum(draws, domain_size - 1)
-    return rng.choice(domain_size, size=spec.n_users, p=law_weights(spec, domain_size))
-
-
 def generate_syn(
     specs: list[PartySpec],
     item_pool: int | np.ndarray,
@@ -130,7 +129,8 @@ def generate_syn(
     ``rng``, so a seeded generator reproduces the whole dataset.
 
     Each party ranks its domain by an independent uniform permutation and
-    samples user items from its law over those ranks.
+    draws how many of its users hold each rank as one multinomial over its
+    law's rank weights.
     """
     if not specs:
         raise ValueError("need at least one party spec")
@@ -163,9 +163,11 @@ def generate_syn(
         if domain is None:
             raise RuntimeError("party domain came out empty after 10 draws")
         ranked = party_rng.permutation(domain)
-        positions = ranked[_law_ranks(spec, len(domain), party_rng)]
-        users = pool[positions].astype(np.uint64)
-        parties.append(PartyState(party_id=party_id, users=users, item_length=m))
+        counts = party_rng.multinomial(spec.n_users, law_weights(spec, len(domain)))
+        held = counts > 0
+        codes = pool[ranked[held]].astype(np.uint64)
+        order = np.argsort(codes)
+        parties.append(PartyState(party_id, codes[order], counts[held][order], m))
     return parties
 
 
@@ -185,14 +187,16 @@ def load_vocabulary(path: str) -> dict[str, int]:
     return vocabulary
 
 
-def ingest_party_file(path: str, vocabulary: dict[str, int], m: int) -> np.ndarray:
-    """Read one item token per line into an array of m-bit item codes.
+def ingest_party_file(
+    path: str, vocabulary: dict[str, int], m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Count one item token per line into (ascending m-bit codes, users holding each).
 
     The vocabulary index is the item code and must fit in m bits; unknown
     tokens raise with the offending line number.
     """
     capacity = 1 << m
-    indices: list[int] = []
+    counts: Counter[int] = Counter()
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             token = line.strip()
@@ -205,10 +209,14 @@ def ingest_party_file(path: str, vocabulary: dict[str, int], m: int) -> np.ndarr
                 raise ValueError(
                     f"{path}:{line_no}: vocabulary index {index} does not fit in {m} bits"
                 )
-            indices.append(index)
-    if not indices:
+            counts[index] += 1
+    if not counts:
         raise ValueError(f"party file {path} holds no items")
-    return np.asarray(indices, dtype=np.uint64)
+    codes = sorted(counts)
+    return (
+        np.asarray(codes, dtype=np.uint64),
+        np.asarray([counts[code] for code in codes], dtype=np.int64),
+    )
 
 
 def exact_topk(parties: list[PartyState], k: int) -> GroundTruth:
@@ -220,9 +228,8 @@ def exact_topk(parties: list[PartyState], k: int) -> GroundTruth:
     m = parties[0].item_length
     if any(party.item_length != m for party in parties):
         raise ValueError("parties disagree on item length")
-    all_users = np.concatenate([party.users for party in parties])
-    codes, counts = np.unique(all_users, return_counts=True)
+    codes, counts = pool_counts(parties)
     order = np.lexsort((codes, -counts))[:k]
-    total = len(all_users)
+    total = int(counts.sum())
     topk = [(PrefixCode(int(codes[i]), m), counts[i] / total) for i in order]
     return GroundTruth(topk=topk, k=k, total_users=total)

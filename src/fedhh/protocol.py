@@ -5,6 +5,14 @@ trie construction, the two-phase adaptive mechanism (phase II extension), the
 single-party fixed-extension baseline and its federated variant, plus the
 server-side merge.
 
+Data contract: a party, a level group and a validation slice are all
+histograms, sorted distinct m-bit item codes with the number of users holding
+each, so grouping and prefix lookup cost O(distinct items) rather than
+O(users). Splitting users into groups draws multivariate hypergeometric
+counts, which has the same law as cutting a uniform random permutation of the
+users into consecutive chunks. The one per-user step left is the expansion
+of a group into true domain indices at the ``oracles.perturb_counts`` call.
+
 Engine contract: every engine is a function of read-only parties, the
 protocol parameters and a 64-bit ``run_key``. It writes to none of its
 inputs and returns one :class:`RunResult`: the server's top-k and merged
@@ -12,18 +20,18 @@ counts, each party's final (prefix, count) upload, and the run's report and
 package pair totals. One ``parties`` list can therefore serve any number of
 runs, from any number of threads at once.
 
-Randomness contract: group assignment derives a per-party generator from
-the run key, and each group's oracle support counts are drawn from a stream
-keyed by (run key, party, level, subgroup role) and the group's true-index
-histogram, so runs are bit-identical regardless of thread count or
-scheduling and each simulated user reports exactly once.
+Randomness contract: every draw comes from a stream keyed by the run key and
+fixed tags: group assignment by (party), a validation split and each group's
+oracle support counts by (party, level, role). Runs are therefore
+bit-identical regardless of thread count or scheduling, and each simulated
+user reports exactly once per run.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,16 +49,20 @@ from fedhh.prefix_codec import (
 )
 
 # Subgroup roles for stream-key derivation. MAIN is the estimation group; the
-# validation roles are used by the consensus-pruning engine.
+# validation roles and the split that makes them are used by the
+# consensus-pruning engine.
 SUB_MAIN = 0
 SUB_VAL0 = 1
 SUB_VAL1 = 2
+SUB_SPLIT = 3
 _TAG_GROUPING = 101
 
 PAIR_BYTES = 16  # one uploaded (prefix, count) pair
 
-# A party's user groups: trie level -> indices into its users.
-LevelGroups = dict[int, np.ndarray]
+# A party must hold fewer users than this: numpy's multivariate
+# hypergeometric draw (method="marginals") that splits them into groups
+# rejects larger totals.
+PARTY_USERS_LIMIT = 10**9
 
 
 class ProtocolError(RuntimeError):
@@ -96,33 +108,115 @@ class ProtocolParams:
             raise ValueError("fixed_t must be at least 1")
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True)
+class UserGroup:
+    """Some of a party's users as a histogram: ascending distinct item
+    ``codes`` and the positive number of users holding each.
+
+    ``len()`` is the number of users, so a group stands wherever a list of
+    its users would.
+    """
+
+    codes: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.counts.sum())
+
+
+def split_users(group: UserGroup, sizes: list[int], rng: np.random.Generator) -> list[UserGroup]:
+    """Split a group's users into groups of ``sizes`` users, uniformly at random.
+
+    The law is that of cutting a uniform random permutation of the users into
+    consecutive chunks: the first half of the sizes takes a multivariate
+    hypergeometric sample of the users, the rest keep the remainder, and each
+    side splits again. Items a side does not hold are dropped from it, so the
+    cost shrinks with depth.
+    """
+    if len(sizes) == 1:
+        return [group]
+    half = len(sizes) // 2
+    left = rng.multivariate_hypergeometric(group.counts, sum(sizes[:half]), method="marginals")
+    parts = []
+    for counts, part_sizes in ((left, sizes[:half]), (group.counts - left, sizes[half:])):
+        held = counts > 0
+        parts += split_users(UserGroup(group.codes[held], counts[held]), part_sizes, rng)
+    return parts
+
+
 @dataclass(frozen=True)
 class PartyState:
-    """One party's dataset: one m-bit item code per user (uint64).
+    """One party's dataset as a histogram over its items.
 
-    The dataclass is frozen and ``users`` is a read-only view, so engines
-    can share a party across runs and threads; per-run state (groups,
-    uploads) lives in the engines and their :class:`RunResult`.
+    ``codes`` are the party's ascending distinct m-bit item codes (uint64)
+    and ``counts`` the number of users holding each (positive int64), so a
+    party costs memory in its distinct items, not its users. The dataclass
+    is frozen and both arrays are read-only views, so engines can share a
+    party across runs and threads; per-run state (groups, uploads) lives in
+    the engines and their :class:`RunResult`.
     """
 
     party_id: int
-    users: np.ndarray
+    codes: np.ndarray
+    counts: np.ndarray
     item_length: int
+    n_users: int = field(init=False)
 
     def __post_init__(self):
-        users = np.asarray(self.users, dtype=np.uint64).view()
-        users.flags.writeable = False
-        object.__setattr__(self, "users", users)
-        if len(users) == 0:
+        codes = _read_only(np.asarray(self.codes, dtype=np.uint64))
+        counts = _read_only(np.asarray(self.counts, dtype=np.int64))
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "counts", counts)
+        if codes.ndim != 1 or codes.shape != counts.shape:
+            raise ValueError(
+                "codes and counts must be equal-length vectors, "
+                f"got {codes.shape} and {counts.shape}"
+            )
+        if len(codes) == 0:
             raise ValueError(f"party {self.party_id} has no users")
+        if counts.min() < 1:
+            raise ValueError("user counts must be positive")
+        if np.any(codes[1:] <= codes[:-1]):
+            raise ValueError("item codes must be ascending and distinct")
         if not 1 <= self.item_length <= 64:
             raise ValueError("item_length must be in [1, 64]")
-        if self.item_length < 64 and int(users.max()) >= (1 << self.item_length):
+        if self.item_length < 64 and int(codes[-1]) >= (1 << self.item_length):
             raise ValueError("user codes exceed the declared item length")
+        n_users = int(counts.sum())
+        if n_users >= PARTY_USERS_LIMIT:
+            raise ValueError(
+                f"party {self.party_id} holds {n_users} users; grouping needs fewer than 10**9"
+            )
+        object.__setattr__(self, "n_users", n_users)
 
     @property
-    def n_users(self) -> int:
-        return len(self.users)
+    def users(self) -> np.ndarray:
+        """One item code per user, grouped by code: a read-only array derived from the counts."""
+        return _read_only(np.repeat(self.codes, self.counts))
+
+    @property
+    def all_users(self) -> UserGroup:
+        return UserGroup(self.codes, self.counts)
+
+
+def pool_counts(parties: list[PartyState]) -> tuple[np.ndarray, np.ndarray]:
+    """The parties' ascending distinct codes and the users holding each, summed over parties."""
+    distinct, inverse = np.unique(
+        np.concatenate([party.codes for party in parties]), return_inverse=True
+    )
+    totals = np.zeros(len(distinct), dtype=np.int64)
+    np.add.at(totals, inverse, np.concatenate([party.counts for party in parties]))
+    return distinct, totals
+
+
+# A party's user groups: trie level -> its users there.
+LevelGroups = dict[int, UserGroup]
 
 
 @dataclass
@@ -154,6 +248,12 @@ class RunResult:
         return PAIR_BYTES * (self.report_pairs + self.package_pairs)
 
 
+def _even_sizes(n: int, parts: int) -> list[int]:
+    """Sizes of ``np.array_split`` of n items into ``parts`` chunks."""
+    base, extra = divmod(n, parts)
+    return [base + 1] * extra + [base] * (parts - extra)
+
+
 def assign_groups(
     party: PartyState, params: ProtocolParams, run_key: int, mode: str = "tap"
 ) -> LevelGroups:
@@ -161,25 +261,19 @@ def assign_groups(
 
     Mode "tap" reserves ``phase1_user_fraction`` of the users for levels
     1..g_s (split evenly) and splits the rest evenly across levels g_s+1..g.
-    Mode "pem" splits all users evenly across levels 1..g. Group arrays keep
-    their random order so later validation splits are random subsets.
+    Mode "pem" splits all users evenly across levels 1..g.
     """
-    rng = np.random.default_rng(derive_key(run_key, _TAG_GROUPING, party.party_id))
-    perm = rng.permutation(party.n_users)
-    groups: LevelGroups = {}
     if mode == "pem":
-        for h, chunk in enumerate(np.array_split(perm, params.g), start=1):
-            groups[h] = chunk
+        sizes = _even_sizes(party.n_users, params.g)
     elif mode == "tap":
         n_phase1 = int(party.n_users * params.phase1_user_fraction)
-        for h, chunk in enumerate(np.array_split(perm[:n_phase1], params.g_s), start=1):
-            groups[h] = chunk
-        phase2 = np.array_split(perm[n_phase1:], params.g - params.g_s)
-        for h, chunk in enumerate(phase2, start=params.g_s + 1):
-            groups[h] = chunk
+        sizes = _even_sizes(n_phase1, params.g_s) + _even_sizes(
+            party.n_users - n_phase1, params.g - params.g_s
+        )
     else:
         raise ValueError(f"unknown grouping mode {mode!r}")
-    return groups
+    rng = np.random.default_rng(derive_key(run_key, _TAG_GROUPING, party.party_id))
+    return dict(enumerate(split_users(party.all_users, sizes, rng), start=1))
 
 
 def _tap_groups(
@@ -197,14 +291,15 @@ def _tap_groups(
 def estimate_level(
     party: PartyState,
     domain: CandidateDomain,
-    group_user_index: np.ndarray,
+    group: UserGroup,
     params: ProtocolParams,
     stream_key: int,
 ) -> LevelEstimate:
     """One group's sanitized frequency estimate over a candidate domain.
 
-    Each user perturbs the ``domain.level_length``-bit prefix of her item
-    (out-of-domain prefixes map to the dummy slot). The dummy estimate is
+    Each user of ``group`` perturbs the ``domain.level_length``-bit prefix of
+    her item (out-of-domain prefixes map to the dummy slot). The prefix
+    lookup runs once per distinct item of the group. The dummy estimate is
     discarded, the rest are ranked by descending frequency (ascending prefix
     value on ties) and scaled by the party's full population.
     """
@@ -213,7 +308,7 @@ def estimate_level(
     dom_bits = domain.bit_values()
     d = domain.alphabet_size
     config = OracleConfig(params.oracle, params.epsilon, d)
-    n = len(group_user_index)
+    n = len(group)
     n_real = len(dom_bits)
     if n == 0:
         ranked = RankedEstimates(
@@ -224,11 +319,11 @@ def estimate_level(
         )
         return LevelEstimate(ranked, np.zeros(n_real))
     shift = np.uint64(party.item_length - domain.level_length)
-    user_prefixes = party.users[group_user_index] >> shift
-    pos = np.searchsorted(dom_bits, user_prefixes)
-    pos = np.minimum(pos, n_real - 1)
-    true_idx = np.where(dom_bits[pos] == user_prefixes, pos, n_real).astype(np.int64)
-    counts = oracles.perturb_counts(config, stream_key, group_user_index, true_idx)
+    prefixes = group.codes >> shift
+    pos = np.minimum(np.searchsorted(dom_bits, prefixes), n_real - 1)
+    item_index = np.where(dom_bits[pos] == prefixes, pos, n_real)
+    true_index = np.repeat(item_index, group.counts)
+    counts = oracles.perturb_counts(config, stream_key, range(n), true_index)
     estimates = oracles.estimate_from_counts(config, counts, n)[:n_real]
     sigma = math.sqrt(oracles.variance(config, n))
     order = np.lexsort((dom_bits, -estimates))

@@ -27,11 +27,13 @@ from fedhh.extension import RankedEstimates
 from fedhh.prefix_codec import CandidateDomain, PrefixCode, construct_domain, level_length
 from fedhh.protocol import (
     SUB_MAIN,
+    SUB_SPLIT,
     SUB_VAL0,
     SUB_VAL1,
     PartyState,
     ProtocolParams,
     RunResult,
+    UserGroup,
     _merge_reports,
     _no_phase_two,
     _positive_entries,
@@ -39,6 +41,7 @@ from fedhh.protocol import (
     _tap_groups,
     estimate_level,
     run_stc,
+    split_users,
 )
 
 _TAU = 1e-11  # keeps the contrast ratio finite when the local estimate is ~0
@@ -162,23 +165,23 @@ def consensus_prune_level(
     party: PartyState,
     domain: CandidateDomain,
     package: PruningPackage | None,
-    group: np.ndarray,
+    group: UserGroup,
     params: ProtocolParams,
     run_key: int,
     gamma: float,
-) -> tuple[CandidateDomain, np.ndarray]:
+) -> tuple[CandidateDomain, UserGroup]:
     """Run both agreement tests and prune the domain for the main estimate.
 
-    Returns the (possibly unchanged) domain and the user indices left for
-    the main estimate. With no package or a zero validation budget this is a
-    no-op.
+    Two validation slices of ``dividing_ratio`` of the group's users each are
+    drawn uniformly at random, one per test. Returns the (possibly
+    unchanged) domain and the users left for the main estimate. With no
+    package or a zero validation budget this is a no-op.
     """
     n_val = int(len(group) * params.dividing_ratio)
     if package is None or n_val == 0:
         return domain, group
-    val0 = group[:n_val]
-    val1 = group[n_val : 2 * n_val]
-    main = group[2 * n_val :]
+    rng = np.random.default_rng(derive_key(run_key, party.party_id, package.level, SUB_SPLIT))
+    val0, val1, main = split_users(group, [n_val, n_val, len(group) - 2 * n_val], rng)
     agreed: set[PrefixCode] = set()
     if package.infrequent:
         key = derive_key(run_key, party.party_id, package.level, SUB_VAL0)

@@ -4,12 +4,13 @@ A config is a flat key=value text file whose keys mirror the field names
 below; CLI flags override file values. Epsilon and k accept comma lists and
 the cross product is enumerated. A config is checked when it is built, so a
 bad combination of fields raises ValueError there rather than inside a job.
-Every repetition derives its own key from the root seed, regenerates the
-dataset (for the synthetic recipe), runs the chosen mechanism, and scores
-its :class:`~fedhh.protocol.RunResult` against the exact top-k: F1 and NCR
-from the result's top-k, average local recall from each party's upload and
-uploaded bytes from its pair totals. The root seed fully determines every
-output column except wall_time_ms.
+Every repetition derives its own key from the root seed and builds its
+dataset (for the synthetic recipe) and exact top-k once; each (epsilon, k)
+job of the repetition runs the chosen mechanism on it and scores its
+:class:`~fedhh.protocol.RunResult` against the truth: F1 and NCR from the
+result's top-k, average local recall from each party's upload and uploaded
+bytes from its pair totals. The root seed fully determines every output
+column except wall_time_ms.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -28,6 +31,7 @@ import numpy as np
 from fedhh import metrics, oracles
 from fedhh._rng import derive_key
 from fedhh.datagen import (
+    GroundTruth,
     PartySpec,
     exact_topk,
     generate_syn,
@@ -36,9 +40,11 @@ from fedhh.datagen import (
     syn_default_specs,
 )
 from fedhh.protocol import (
+    PARTY_USERS_LIMIT,
     PartyState,
     ProtocolParams,
     RunResult,
+    pool_counts,
     run_fedpem,
     run_pem_single,
     run_tap,
@@ -113,8 +119,17 @@ class ExperimentConfig:
             raise ValueError("repetitions must be at least 1")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        if self.dataset == "syn":
+            # pem pools every user into one party.
+            sizes = [spec.n_users for spec in _scaled_specs(self.scale)]
+            largest = sum(sizes) if self.mechanism == "pem" else max(sizes)
+            if largest >= PARTY_USERS_LIMIT:
+                raise ValueError(
+                    f"scale {self.scale:g} gives a {self.mechanism} party of {largest} users; "
+                    "parties must hold fewer than 10**9"
+                )
         if self.ncr_quality not in ("k-rank", "k-rank+1"):
             raise ValueError(f"ncr_quality must be 'k-rank' or 'k-rank+1', got {self.ncr_quality!r}")
 
@@ -237,8 +252,11 @@ def _dataset_rng(root_seed: int, repetition: int) -> np.random.Generator:
     return np.random.default_rng(derive_key(derive_key(root_seed, repetition), _TAG_DATASET))
 
 
-def load_manifest(path: str, m: int) -> list[np.ndarray]:
-    """Read a dataset manifest: m=, vocabulary=, and one party= line per file."""
+def load_manifest(path: str, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Read a dataset manifest: m=, vocabulary=, and one party= line per file.
+
+    Returns each party's (ascending codes, users holding each).
+    """
     base = Path(path).parent
     vocab_path: str | None = None
     party_paths: list[str] = []
@@ -267,20 +285,24 @@ def load_manifest(path: str, m: int) -> list[np.ndarray]:
     return [ingest_party_file(str(base / p), vocabulary, m) for p in party_paths]
 
 
-def _build_parties(config: ExperimentConfig, repetition: int, manifest_arrays: list[np.ndarray] | None) -> list[PartyState]:
-    if manifest_arrays is not None:
-        return [
-            PartyState(party_id=i, users=arr, item_length=config.m)
-            for i, arr in enumerate(manifest_arrays)
-        ]
-    rng = _dataset_rng(config.root_seed, repetition)
+def _manifest_parties(path: str, m: int) -> list[PartyState]:
+    histograms = load_manifest(path, m)
+    return [PartyState(i, codes, counts, m) for i, (codes, counts) in enumerate(histograms)]
+
+
+def _syn_parties(recipe, repetition: int) -> list[PartyState]:
+    """The synthetic recipe's parties for one repetition.
+
+    ``recipe`` is an :class:`ExperimentConfig` or parsed CLI arguments: any
+    object with root_seed, scale, pool_size, n_groups, m and dirichlet_beta.
+    """
     return generate_syn(
-        _scaled_specs(config.scale),
-        config.pool_size,
-        config.n_groups,
-        rng,
-        m=config.m,
-        dirichlet_beta=config.dirichlet_beta,
+        _scaled_specs(recipe.scale),
+        recipe.pool_size,
+        recipe.n_groups,
+        _dataset_rng(recipe.root_seed, repetition),
+        m=recipe.m,
+        dirichlet_beta=recipe.dirichlet_beta,
     )
 
 
@@ -297,11 +319,7 @@ def _execute(
     if mechanism == "fedpem":
         return run_fedpem(parties, params, run_key)
     # pem: the centralized baseline pools every user into one population
-    pooled = PartyState(
-        party_id=0,
-        users=np.concatenate([p.users for p in parties]),
-        item_length=parties[0].item_length,
-    )
+    pooled = PartyState(0, *pool_counts(parties), parties[0].item_length)
     return run_pem_single(pooled, params, run_key)
 
 
@@ -310,18 +328,18 @@ def _run_one(
     epsilon: float,
     k: int,
     repetition: int,
-    manifest_arrays: list[np.ndarray] | None,
+    parties: list[PartyState],
+    truth: GroundTruth,
 ) -> RunRecord:
+    """One job; ``truth`` is the dataset's exact top-k' for some k' >= k."""
     run_key = derive_key(config.root_seed, repetition)
-    parties = _build_parties(config, repetition, manifest_arrays)
-    truth = exact_topk(parties, k)
     if len(truth.topk) < k:
         raise ValueError(f"dataset holds only {len(truth.topk)} distinct items, need k={k}")
     params = config.protocol_params(epsilon, k)
     start = time.perf_counter()
     result = _execute(config.mechanism, parties, params, run_key)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    truth_codes = truth.codes
+    truth_codes = truth.codes[:k]
     local_lists = [[code for code, _ in entries[:k]] for _, entries in result.uploads]
     return RunRecord(
         run_id=f"{config.mechanism}-eps{epsilon:g}-k{k}-rep{repetition:03d}",
@@ -344,21 +362,30 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     Returns the per-run records followed by the mean rows; writes the CSV to
     ``config.output`` when set.
     """
-    manifest_arrays = None
-    if config.dataset != "syn":
-        manifest_arrays = load_manifest(config.dataset, config.m)
+    manifest = None if config.dataset == "syn" else _manifest_parties(config.dataset, config.m)
     points = [(eps, k) for eps in config.epsilon for k in config.k]
-    jobs = [(eps, k, rep) for eps, k in points for rep in range(config.repetitions)]
+    # A repetition's jobs are queued together, and the first of them to run
+    # builds its dataset and exact top-max(k) on its own thread.
+    jobs = [(rep, eps, k) for rep in range(config.repetitions) for eps, k in points]
+    datasets: dict[int, tuple[list[PartyState], GroundTruth]] = {}
+    locks = [threading.Lock() for _ in range(config.repetitions)]
 
     def one(job):
-        eps, k, rep = job
-        return _run_one(config, eps, k, rep, manifest_arrays)
+        rep, eps, k = job
+        with locks[rep]:
+            if rep not in datasets:
+                parties = manifest or _syn_parties(config, rep)
+                datasets[rep] = parties, exact_topk(parties, max(config.k))
+            parties, truth = datasets[rep]
+        return _run_one(config, eps, k, rep, parties, truth)
 
     if config.threads == 1:
-        records = [one(job) for job in jobs]
+        results = [one(job) for job in jobs]
     else:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            records = list(pool.map(one, jobs))
+            results = list(pool.map(one, jobs))
+    by_job = dict(zip(jobs, results))
+    records = [by_job[(rep, eps, k)] for eps, k in points for rep in range(config.repetitions)]
 
     mean_rows = []
     for eps, k in points:
@@ -449,15 +476,7 @@ def _cmd_run(args) -> int:
 def _cmd_generate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rng = _dataset_rng(args.root_seed, 0)
-    parties = generate_syn(
-        _scaled_specs(args.scale),
-        args.pool_size,
-        args.n_groups,
-        rng,
-        m=args.m,
-        dirichlet_beta=args.dirichlet_beta,
-    )
+    parties = _syn_parties(args, 0)
     width = len(str(args.pool_size - 1))
     with open(out / "vocabulary.txt", "w", encoding="utf-8") as handle:
         for item in range(args.pool_size):
@@ -465,10 +484,9 @@ def _cmd_generate(args) -> int:
     manifest_lines = [f"m={args.m}", "vocabulary=vocabulary.txt"]
     for party in parties:
         name = f"party{party.party_id}.txt"
-        ids = party.users
         with open(out / name, "w", encoding="utf-8") as handle:
-            for item in ids:
-                handle.write(f"item{int(item):0{width}d}\n")
+            for code, count in zip(party.codes.tolist(), party.counts.tolist()):
+                handle.write(f"item{code:0{width}d}\n" * count)
         manifest_lines.append(f"party={name}")
     (out / "manifest.txt").write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
     total = sum(p.n_users for p in parties)
@@ -478,21 +496,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_truth(args) -> int:
     if args.dataset == "syn":
-        rng = _dataset_rng(args.root_seed, args.repetition)
-        parties = generate_syn(
-            _scaled_specs(args.scale),
-            args.pool_size,
-            args.n_groups,
-            rng,
-            m=args.m,
-            dirichlet_beta=args.dirichlet_beta,
-            )
+        parties = _syn_parties(args, args.repetition)
     else:
-        arrays = load_manifest(args.dataset, args.m)
-        parties = [
-            PartyState(party_id=i, users=arr, item_length=args.m)
-            for i, arr in enumerate(arrays)
-        ]
+        parties = _manifest_parties(args.dataset, args.m)
     truth = exact_topk(parties, args.k)
     for rank, (code, freq) in enumerate(truth.topk, start=1):
         print(f"{rank:3d} {code} {freq:.6f}")

@@ -183,16 +183,55 @@ def test_law_profile_chi_square_sanity():
     assert binned_chi2(PartySpec(100_000, "poisson", 6.0), 50, 101) < 20.0
 
 
+@pytest.mark.parametrize(
+    "spec, pool",
+    [(PartySpec(200_000, "zipf", 1.5), 10), (PartySpec(200_000, "poisson", 2.5), 8)],
+)
+def test_generate_counts_match_law_weights(spec, pool):
+    """Each rank's count has the Binomial(n, w_r) mean and variance of n per-user draws.
+
+    One group holding the whole pool makes the party's domain the pool. The
+    rank order is a hidden permutation, so the counts are sorted: the laws'
+    weights here are distinct enough that sorting recovers the ranks (the
+    closest pair of adjacent ranks is over six standard deviations apart).
+    Bounds fixed before running: |z| <= 4.5 per rank on mean and variance.
+    """
+    weights = np.sort(law_weights(spec, pool))[::-1]
+    trials = 300
+    sorted_counts = np.empty((trials, pool))
+    for trial in range(trials):
+        (party,) = generate_syn([spec], pool, 1, np.random.default_rng(trial), m=8)
+        assert party.n_users == spec.n_users and len(party.codes) == pool
+        sorted_counts[trial] = np.sort(party.counts)[::-1]
+    mean = spec.n_users * weights
+    var = mean * (1 - weights)
+    z_mean = (sorted_counts.mean(axis=0) - mean) / np.sqrt(var / trials)
+    squares = (sorted_counts - sorted_counts.mean(axis=0)) ** 2
+    z_var = (squares.mean(axis=0) - var) / (squares.std(axis=0) / np.sqrt(trials))
+    assert np.all(np.abs(z_mean) <= 4.5), z_mean
+    assert np.all(np.abs(z_var) <= 4.5), z_var
+
+
+def test_generate_holds_parties_as_histograms():
+    parties = generate_syn(syn_default_specs()[:2], 5000, 6, np.random.default_rng(5), m=20)
+    for party in parties:
+        assert np.all(np.diff(party.codes.astype(np.int64)) > 0)
+        assert np.all(party.counts > 0)
+        assert party.counts.sum() == party.n_users == len(party.users)
+        assert np.array_equal(np.unique(party.users), party.codes)
+
+
 # ---------------------------------------------------------------------------
 # ingestion
 
 
 def test_ingest_maps_lines_to_codes(tmp_path):
     party = tmp_path / "party.txt"
-    party.write_text("a\nb\na\n", encoding="utf-8")
-    users = ingest_party_file(str(party), {"a": 0, "b": 1}, 4)
-    assert users.tolist() == [0, 1, 0]
-    assert users.dtype == np.uint64
+    party.write_text("c\na\nb\na\n", encoding="utf-8")
+    codes, counts = ingest_party_file(str(party), {"a": 0, "b": 1, "c": 2}, 4)
+    assert codes.tolist() == [0, 1, 2]
+    assert counts.tolist() == [2, 1, 1]
+    assert codes.dtype == np.uint64
 
 
 def test_ingest_empty_file_rejected(tmp_path):
@@ -242,7 +281,7 @@ def test_load_vocabulary_empty_rejected(tmp_path):
 
 
 def _party(party_id, items, m=4):
-    return PartyState(party_id=party_id, users=np.array(items, dtype=np.uint64), item_length=m)
+    return PartyState(party_id, *np.unique(np.array(items, dtype=np.uint64), return_counts=True), m)
 
 
 def test_exact_topk_hand_count():

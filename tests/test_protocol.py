@@ -10,10 +10,13 @@ import pytest
 from fedhh.datagen import PartySpec, exact_topk, generate_syn
 from fedhh.metrics import f1_score
 from fedhh.prefix_codec import CandidateDomain, PrefixCode, construct_domain, full_level_domain
+from fedhh import oracles
 from fedhh.protocol import (
+    PARTY_USERS_LIMIT,
     PartyState,
     ProtocolError,
     ProtocolParams,
+    UserGroup,
     assign_groups,
     estimate_level,
     run_fedpem,
@@ -22,6 +25,7 @@ from fedhh.protocol import (
     run_tap,
 )
 from fedhh.pruning import run_taps
+from hypergeometric import assert_hypergeometric
 
 
 def _params(**kw):
@@ -31,7 +35,8 @@ def _params(**kw):
 
 
 def _party(party_id, items, m):
-    return PartyState(party_id=party_id, users=np.asarray(items, dtype=np.uint64), item_length=m)
+    codes, counts = np.unique(np.asarray(items, dtype=np.uint64), return_counts=True)
+    return PartyState(party_id, codes, counts, m)
 
 
 def _stc(parties, params, run_key):
@@ -73,63 +78,116 @@ def test_party_state_validation():
     with pytest.raises(ValueError, match="no users"):
         _party(0, [], 8)
     with pytest.raises(ValueError):
-        PartyState(0, np.array([1], dtype=np.uint64), 0)
+        _party(0, [1], 0)
     with pytest.raises(ValueError, match="exceed"):
         _party(0, [256], 8)
-    party = _party(3, [1, 2, 3], 8)
-    assert party.n_users == 3
+    with pytest.raises(ValueError, match="ascending"):
+        PartyState(0, [2, 1], [1, 1], 8)
+    with pytest.raises(ValueError, match="ascending"):
+        PartyState(0, [1, 1], [1, 1], 8)
+    with pytest.raises(ValueError, match="positive"):
+        PartyState(0, [1, 2], [1, 0], 8)
+    with pytest.raises(ValueError, match="equal-length"):
+        PartyState(0, [1, 2], [1], 8)
+    # The grouping draw takes fewer than 10**9 users.
+    with pytest.raises(ValueError, match="10\\*\\*9"):
+        PartyState(0, [1, 2], [PARTY_USERS_LIMIT - 1, 1], 8)
+    assert PartyState(0, [1, 2], [PARTY_USERS_LIMIT - 2, 1], 8).n_users == PARTY_USERS_LIMIT - 1
+    party = _party(3, [3, 1, 2, 3], 8)
+    assert party.n_users == 4
+    assert party.codes.tolist() == [1, 2, 3] and party.counts.tolist() == [1, 1, 2]
+    assert party.codes.dtype == np.uint64 and party.counts.dtype == np.int64
+    assert sorted(party.users.tolist()) == [1, 2, 3, 3]
     assert party.users.dtype == np.uint64
 
 
 def test_party_state_is_read_only():
-    items = np.array([1, 2, 3], dtype=np.uint64)
-    party = _party(3, items, 8)
-    for name, value in (("party_id", 4), ("users", items), ("item_length", 9)):
+    codes = np.array([1, 2, 3], dtype=np.uint64)
+    party = PartyState(3, codes, [1, 1, 2], 8)
+    for name, value in (("party_id", 4), ("codes", codes), ("counts", codes), ("item_length", 9)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(party, name, value)
-    with pytest.raises(ValueError, match="read-only"):
-        party.users[0] = 7
-    items[0] = 5  # the caller's array stays writable
-    assert party.users[0] == 5
+    for array in (party.codes, party.counts, party.users):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7
+    codes[0] = 0  # the caller's array stays writable
 
 
 # ---------------------------------------------------------------------------
 # group assignment
 
 
+def _group_totals(party, groups):
+    """Users per party code, summed over the groups."""
+    totals = np.zeros(len(party.codes), dtype=np.int64)
+    for group in groups:
+        assert np.all(np.diff(group.codes.astype(np.int64)) > 0) and np.all(group.counts > 0)
+        totals[np.searchsorted(party.codes, group.codes)] += group.counts
+    return totals
+
+
 def test_assign_groups_tap_partition():
-    party = _party(0, np.zeros(1000), 48)
+    party = _party(0, np.arange(1000) % 7, 48)
     params = ProtocolParams()  # m=48, g=24, g_s=6, 10% phase one
     groups = assign_groups(party, params, run_key=11, mode="tap")
     assert sorted(groups) == list(range(1, 25))
     phase1 = sum(len(groups[h]) for h in range(1, 7))
     assert phase1 == 100
-    all_idx = np.concatenate([groups[h] for h in range(1, 25)])
-    assert np.array_equal(np.sort(all_idx), np.arange(1000))
+    expected = [len(c) for c in np.array_split(np.arange(100), 6)]
+    expected += [len(c) for c in np.array_split(np.arange(900), 18)]
+    assert [len(groups[h]) for h in range(1, 25)] == expected
+    assert np.array_equal(_group_totals(party, groups.values()), party.counts)
 
 
 def test_assign_groups_pem_even_split():
-    party = _party(0, np.zeros(1000), 48)
+    party = _party(0, np.arange(1000) % 7, 48)
     groups = assign_groups(party, ProtocolParams(), run_key=11, mode="pem")
-    sizes = sorted(len(groups[h]) for h in range(1, 25))
-    assert sizes == [41] * 8 + [42] * 16
-    all_idx = np.concatenate(list(groups.values()))
-    assert np.array_equal(np.sort(all_idx), np.arange(1000))
+    expected = [len(c) for c in np.array_split(np.arange(1000), 24)]
+    assert [len(groups[h]) for h in range(1, 25)] == expected == [42] * 16 + [41] * 8
+    assert np.array_equal(_group_totals(party, groups.values()), party.counts)
 
 
 def test_assign_groups_deterministic_per_party():
-    a1 = _party(0, np.zeros(500), 48)
-    a2 = _party(0, np.zeros(500), 48)
-    b = _party(1, np.zeros(500), 48)
+    items = np.arange(500) % 9
+    a1 = _party(0, items, 48)
+    a2 = _party(0, items, 48)
+    b = _party(1, items, 48)
     g1, g2, gb = (assign_groups(p, ProtocolParams(), run_key=77, mode="tap") for p in (a1, a2, b))
     for h in g1:
-        assert np.array_equal(g1[h], g2[h])
-    assert any(not np.array_equal(g1[h], gb[h]) for h in g1)
+        assert np.array_equal(g1[h].codes, g2[h].codes)
+        assert np.array_equal(g1[h].counts, g2[h].counts)
+    assert any(not np.array_equal(g1[h].counts, gb[h].counts) for h in g1)
 
 
 def test_assign_groups_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
         assign_groups(_party(0, [0], 8), _params(), 1, mode="stripe")
+
+
+def _colour_matrix(party, groups):
+    """groups x party codes: users of each code in each group."""
+    matrix = np.zeros((len(groups), len(party.codes)), dtype=np.int64)
+    for row, group in enumerate(groups):
+        matrix[row, np.searchsorted(party.codes, group.codes)] = group.counts
+    return matrix
+
+
+@pytest.mark.parametrize("mode", ["tap", "pem"])
+def test_assign_groups_counts_are_hypergeometric(mode):
+    # Bounds fixed before running: |z| <= 4.5 on every mean, variance and covariance.
+    party = PartyState(0, [0, 3, 5, 6], [50, 30, 15, 5], 8)
+    params = _params(g=4, g_s=1, phase1_user_fraction=0.2)
+    trials = 3000
+    samples = np.stack(
+        [
+            _colour_matrix(party, assign_groups(party, params, key, mode).values())
+            for key in range(trials)
+        ]
+    )
+    sizes = [20, 27, 27, 26] if mode == "tap" else [25, 25, 25, 25]
+    assert all(matrix.sum(axis=1).tolist() == sizes for matrix in samples[:5])
+    assert np.all(samples.sum(axis=1) == party.counts)
+    assert_hypergeometric(samples, party.counts, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +197,7 @@ def test_assign_groups_unknown_mode():
 def test_estimate_level_noiseless_rank_one():
     party = _party(0, np.full(2000, 0b1010), 4)
     domain = full_level_domain(2)
-    est = estimate_level(party, domain, np.arange(2000), _params(m=4, g=2), stream_key=5)
+    est = estimate_level(party, domain, party.all_users, _params(m=4, g=2), stream_key=5)
     assert est.ranked.prefixes[0] == PrefixCode(0b10, 2)
     assert est.ranked.frequencies[0] == pytest.approx(1.0, abs=1e-2)
     assert np.all(np.abs(est.ranked.frequencies[1:]) < 1e-2)
@@ -150,7 +208,7 @@ def test_estimate_level_noiseless_rank_one():
 def test_estimate_level_out_of_domain_goes_to_dummy():
     party = _party(0, np.full(5000, 0b1111), 4)
     domain = construct_domain([PrefixCode(0, 2)], 4, 2)
-    est = estimate_level(party, domain, np.arange(5000), _params(m=4, g=2), stream_key=9)
+    est = estimate_level(party, domain, party.all_users, _params(m=4, g=2), stream_key=9)
     assert np.max(np.abs(est.ranked.frequencies)) < 1e-3
     assert len(est.ranked) == 4  # dummy slot itself is not reported
 
@@ -165,7 +223,7 @@ def test_estimate_level_tracks_empirical_frequencies(kind):
     users = rng.choice(8, size=n, p=weights).astype(np.uint64)
     party = _party(0, users, 3)
     params = _params(m=3, g=2, g_s=1, epsilon=1.0, oracle=kind)
-    est = estimate_level(party, full_level_domain(3), np.arange(n), params, stream_key=31)
+    est = estimate_level(party, full_level_domain(3), party.all_users, params, stream_key=31)
     sigma = np.sqrt(variance(OracleConfig(kind, 1.0, 9), n))
     empirical = np.bincount(users.astype(np.int64), minlength=8) / n
     for code, freq in zip(est.ranked.prefixes, est.ranked.frequencies):
@@ -174,9 +232,9 @@ def test_estimate_level_tracks_empirical_frequencies(kind):
 
 def test_estimate_level_empty_group():
     party = _party(0, np.array([1, 2, 3]), 4)
-    est = estimate_level(
-        party, full_level_domain(2), np.array([], dtype=np.int64), _params(m=4, g=2), 1
-    )
+    empty = UserGroup(np.array([], dtype=np.uint64), np.array([], dtype=np.int64))
+    assert len(empty) == 0
+    est = estimate_level(party, full_level_domain(2), empty, _params(m=4, g=2), 1)
     assert np.all(est.ranked.frequencies == 0)
     assert np.all(est.scaled_counts == 0)
     assert est.ranked.sigma > 0
@@ -186,7 +244,26 @@ def test_estimate_level_requires_dummy_and_candidates():
     party = _party(0, np.array([0]), 4)
     assert CandidateDomain(2, [PrefixCode(0, 2)]).alphabet_size == 2  # the dummy slot is built in
     with pytest.raises(ProtocolError, match="empty"):
-        estimate_level(party, CandidateDomain(2, []), np.arange(1), _params(m=4, g=2), 1)
+        estimate_level(party, CandidateDomain(2, []), party.all_users, _params(m=4, g=2), 1)
+
+
+def test_estimate_level_reports_once_per_user(monkeypatch):
+    """The oracle sees one report per group user, each at its prefix's domain index."""
+    seen = []
+
+    def spy(config, stream_key, user_index, true_index):
+        seen.append((len(user_index), np.bincount(true_index, minlength=config.domain_size)))
+        return real(config, stream_key, user_index, true_index)
+
+    real = oracles.perturb_counts
+    monkeypatch.setattr(oracles, "perturb_counts", spy)
+    # Two-bit prefixes: 00 x3, 01 x2, 10 x6, 11 x1; the domain holds 00 and 10.
+    party = _party(0, [0, 2, 2, 4, 6, 8, 8, 8, 8, 10, 11, 12], 4)
+    domain = CandidateDomain(2, [PrefixCode(0b00, 2), PrefixCode(0b10, 2)])
+    estimate_level(party, domain, party.all_users, _params(m=4, g=2), stream_key=3)
+    n, histogram = seen[0]
+    assert n == 12
+    assert histogram.tolist() == [3, 6, 3]  # 00, 10, then the dummy slot for 01 and 11
 
 
 # ---------------------------------------------------------------------------

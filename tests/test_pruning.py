@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fedhh import pruning
 from fedhh.datagen import PartySpec, generate_syn
 from fedhh.extension import RankedEstimates
 from fedhh.prefix_codec import CandidateDomain, PrefixCode
@@ -20,6 +21,8 @@ from fedhh.pruning import (
     select_pruning_candidates,
 )
 
+from hypergeometric import assert_hypergeometric
+
 A, B, C = PrefixCode(0, 4), PrefixCode(1, 4), PrefixCode(2, 4)
 
 
@@ -29,17 +32,17 @@ A, B, C = PrefixCode(0, 4), PrefixCode(1, 4), PrefixCode(2, 4)
 
 def test_order_parties_descending_population():
     parties = [
-        PartyState(0, np.zeros(100, dtype=np.uint64), 8),
-        PartyState(1, np.zeros(300, dtype=np.uint64), 8),
-        PartyState(2, np.zeros(200, dtype=np.uint64), 8),
+        PartyState(0, [0], [100], 8),
+        PartyState(1, [0], [300], 8),
+        PartyState(2, [0], [200], 8),
     ]
     assert [p.party_id for p in order_parties(parties)] == [1, 2, 0]
 
 
 def test_order_parties_tie_breaks_on_id():
     parties = [
-        PartyState(5, np.zeros(200, dtype=np.uint64), 8),
-        PartyState(2, np.zeros(200, dtype=np.uint64), 8),
+        PartyState(5, [0], [200], 8),
+        PartyState(2, [0], [200], 8),
     ]
     assert [p.party_id for p in order_parties(parties)] == [2, 5]
 
@@ -183,7 +186,7 @@ def test_contrast_scores_ordering():
 def _prune_setup():
     present = [0x00, 0x04, 0x08, 0x0C]
     absent = [0x30, 0x34, 0x38, 0x3C]
-    party = PartyState(0, np.repeat(present, 750).astype(np.uint64), 6)
+    party = PartyState(0, present, [750] * 4, 6)
     domain = CandidateDomain(6, [PrefixCode(b, 6) for b in sorted(present + absent)])
     package = PruningPackage(
         level=3,
@@ -198,7 +201,7 @@ def _prune_setup():
 
 def test_prune_level_removes_agreed_absent_prefix():
     party, domain, package, params = _prune_setup()
-    group = np.arange(3000)
+    group = party.all_users
     new_domain, main = consensus_prune_level(
         party, domain, package, group, params, run_key=555, gamma=0.0
     )
@@ -209,12 +212,12 @@ def test_prune_level_removes_agreed_absent_prefix():
 
 def test_prune_level_without_package_is_a_no_op():
     party, domain, _, params = _prune_setup()
-    group = np.arange(3000)
+    group = party.all_users
     new_domain, main = consensus_prune_level(
         party, domain, None, group, params, run_key=1, gamma=0.0
     )
     assert new_domain is domain
-    assert np.array_equal(main, group)
+    assert main is group
 
 
 def test_prune_level_zero_budget_is_a_no_op():
@@ -223,7 +226,7 @@ def test_prune_level_zero_budget_is_a_no_op():
 
     params = replace(params, dividing_ratio=0.0)
     new_domain, main = consensus_prune_level(
-        party, domain, package, np.arange(3000), params, run_key=1, gamma=0.0
+        party, domain, package, party.all_users, params, run_key=1, gamma=0.0
     )
     assert new_domain is domain
     assert len(main) == 3000
@@ -236,9 +239,45 @@ def test_prune_level_keeps_domain_when_agreement_misses_it():
     ]
     package = PruningPackage(level=3, frequent=[], infrequent=outside)
     new_domain, _ = consensus_prune_level(
-        party, domain, package, np.arange(3000), params, run_key=555, gamma=0.0
+        party, domain, package, party.all_users, params, run_key=555, gamma=0.0
     )
     assert new_domain is domain  # agreed codes are not domain members
+
+
+def test_prune_level_validation_split_is_hypergeometric(monkeypatch):
+    """val0, val1 and main partition the group, and each slice's colour counts
+    have the hypergeometric moments of a uniformly random split.
+
+    Bounds fixed before running: |z| <= 4.5 on every mean, variance and covariance.
+    """
+    slices = []
+
+    def spy(party, domain, group, params, stream_key):
+        slices.append(group)
+        return real(party, domain, group, params, stream_key)
+
+    real = pruning.estimate_level
+    monkeypatch.setattr(pruning, "estimate_level", spy)
+    party = PartyState(0, [0x00, 0x04, 0x08, 0x0C], [50, 30, 15, 5], 6)
+    params = ProtocolParams(m=6, g=3, g_s=1, k=2, epsilon=20.0, oracle="krr", dividing_ratio=0.2)
+    _, domain, package, _ = _prune_setup()
+    frequent = [(PrefixCode(0x00, 6), 0.5), (PrefixCode(0x04, 6), 0.3)]
+    package = PruningPackage(3, frequent, package.infrequent)
+    trials = 3000
+    samples = []
+    for key in range(trials):
+        slices.clear()
+        _, main = consensus_prune_level(
+            party, domain, package, party.all_users, params, run_key=key, gamma=0.0
+        )
+        rows = np.zeros((3, len(party.codes)), dtype=np.int64)
+        for row, part in enumerate(slices + [main]):
+            rows[row, np.searchsorted(party.codes, part.codes)] = part.counts
+        samples.append(rows)
+    samples = np.stack(samples)
+    assert np.all(samples.sum(axis=1) == party.counts)
+    assert np.all(samples.sum(axis=2) == [20, 20, 60])
+    assert_hypergeometric(samples, party.counts, [20, 20, 60])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedhh import oracles
+from fedhh import oracles, runner
 from fedhh.datagen import PartySpec, generate_syn
 from fedhh.protocol import PartyState, ProtocolParams, run_fedpem, run_tap
 from fedhh.pruning import active_levels, run_taps
@@ -101,11 +101,21 @@ def test_build_config_rejects_unknown_key():
         dict(m=8),  # the default 33,000-item pool does not fit in 8 bits
         dict(epsilon=(2.0, 2.0)),  # repeats would share run ids
         dict(k=(5, 10, 5)),
+        dict(scale=float("nan")),
+        dict(scale=float("inf")),
+        dict(scale=4546),  # the largest party would hold 10**9 users or more
+        dict(mechanism="pem", scale=1283),  # so would pem's pooled party
     ],
 )
 def test_config_validation(kw):
     with pytest.raises(ValueError):
         ExperimentConfig(**kw)
+
+
+def test_config_accepts_the_largest_scales():
+    assert ExperimentConfig(scale=4545).scale == 4545  # 999,900,000 users in the largest party
+    assert ExperimentConfig(mechanism="pem", scale=1282).scale == 1282  # 999,960,000 pooled
+    assert ExperimentConfig(dataset="data/manifest.txt", scale=1e6).scale == 1e6  # files set sizes
 
 
 # Each field draws from a few values, the first valid (Hypothesis shrinks
@@ -229,6 +239,35 @@ def test_run_experiment_thread_count_does_not_change_results():
     assert _strip_wall_time(serial) == _strip_wall_time(threaded)
 
 
+def test_run_experiment_builds_each_dataset_once(monkeypatch):
+    built, truths = [], []
+    real_generate, real_truth = runner.generate_syn, runner.exact_topk
+
+    def generate(*args, **kwargs):
+        built.append(1)
+        return real_generate(*args, **kwargs)
+
+    def truth(parties, k):
+        truths.append(k)
+        return real_truth(parties, k)
+
+    monkeypatch.setattr(runner, "generate_syn", generate)
+    monkeypatch.setattr(runner, "exact_topk", truth)
+    for threads in (1, 2):
+        built.clear()
+        truths.clear()
+        records = run_experiment(
+            _small_config(epsilon=(2.0, 4.0), k=(5, 10), repetitions=3, threads=threads)
+        )
+        assert len(built) == 3 and truths == [10, 10, 10]
+        assert [r.run_id for r in records[:6]] == [
+            f"taps-eps2-k5-rep{rep:03d}" for rep in range(3)
+        ] + [f"taps-eps2-k10-rep{rep:03d}" for rep in range(3)]
+        assert [r.run_id for r in records[-4:]] == [
+            "taps-eps2-k5-mean", "taps-eps2-k10-mean", "taps-eps4-k5-mean", "taps-eps4-k10-mean"
+        ]
+
+
 def test_run_experiment_sweeps_epsilon_k_grid():
     records = run_experiment(_small_config(epsilon=(2.0, 4.0), k=(5, 10), repetitions=1))
     run_rows = [r for r in records if not r.run_id.endswith("-mean")]
@@ -292,13 +331,14 @@ def test_load_manifest_round_trip(tmp_path):
         "generate", "--out", str(out), "--pool-size", "500", "--n-groups", "3",
         "--scale", "0.001", "--m", "16", "--root-seed", "12345",
     ]) == 0
-    arrays = load_manifest(str(out / "manifest.txt"), 16)
+    histograms = load_manifest(str(out / "manifest.txt"), 16)
     regenerated = generate_syn(
         _scaled_specs(0.001), 500, 3, _dataset_rng(12345, 0), m=16, dirichlet_beta=0.5
     )
-    assert len(arrays) == 8
-    for arr, party in zip(arrays, regenerated):
-        assert np.array_equal(arr, party.users)
+    assert len(histograms) == 8
+    for (codes, counts), party in zip(histograms, regenerated):
+        assert np.array_equal(codes, party.codes)
+        assert np.array_equal(counts, party.counts)
 
 
 def test_load_manifest_errors(tmp_path):
@@ -324,7 +364,7 @@ def test_load_manifest_errors(tmp_path):
 def test_fedpem_upload_cost_two_parties():
     # Two parties x ten pairs x sixteen bytes.
     items = np.tile(np.arange(16), 125).astype(np.uint64)
-    parties = [PartyState(i, items.copy(), 6) for i in range(2)]
+    parties = [PartyState(i, *np.unique(items, return_counts=True), 6) for i in range(2)]
     params = ProtocolParams(m=6, g=3, g_s=1, k=10, epsilon=20.0)
     result = run_fedpem(parties, params, run_key=12)
     assert result.report_pairs == 20
