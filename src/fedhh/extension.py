@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedhh.prefix_codec import PrefixCode
-
 SQRT2 = math.sqrt(2.0)
 
 
@@ -24,12 +22,14 @@ SQRT2 = math.sqrt(2.0)
 class RankedEstimates:
     """Per-prefix estimates sorted by descending frequency.
 
-    Ties are broken by ascending prefix value, so the order is deterministic.
-    ``sigma`` is the standard deviation of the producing oracle at the
-    reporting group's size and the level's alphabet size.
+    ``prefixes`` holds the ``level_length``-bit prefix values (uint64) and
+    ``frequencies`` their estimates, aligned. Ties are broken by ascending
+    prefix value, so the order is deterministic. ``sigma`` is the standard
+    deviation of the producing oracle at the reporting group's size and the
+    level's alphabet size.
     """
 
-    prefixes: list[PrefixCode]
+    prefixes: np.ndarray
     frequencies: np.ndarray
     sigma: float
     level_length: int

@@ -5,14 +5,20 @@ big-endian bit strings of a fixed maximum length m <= 64, so a code fits one
 machine word. Level h of a trie with granularity g holds prefixes of length
 ceil(h*m/g). Tie-breaking everywhere is by ascending numeric prefix value,
 which keeps every run deterministic.
+
+Inside the engines a prefix is its bit value in a uint64 array, and the level
+it belongs to carries its length; :class:`PrefixCode` pairs the two for
+results that leave the engines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-# Longest prefix length whose full domain (level 1 of every trie) is enumerated.
-MAX_FIRST_LEVEL_BITS = 24
+import numpy as np
+
+# Most candidates one level's domain may hold.
+MAX_DOMAIN_SIZE = 1 << 24
 
 
 @dataclass(frozen=True, order=True)
@@ -41,64 +47,60 @@ def level_length(h: int, m: int, g: int) -> int:
     return -(-h * m // g)
 
 
-@dataclass
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True)
 class CandidateDomain:
     """The perturbation alphabet for one trie level.
 
-    ``prefixes`` are distinct, equal-length, and ordered by ascending numeric
-    value. The dummy slot (for users whose true prefix lies outside the
-    domain) is an extra index appended after the real prefixes.
+    ``prefixes`` are the distinct ``level_length``-bit prefix values, an
+    ascending read-only uint64 array. The dummy slot (for users whose true
+    prefix lies outside the domain) is an extra index appended after the
+    real prefixes.
     """
 
     level_length: int
-    prefixes: list[PrefixCode]
-    _bits: object = field(default=None, repr=False, compare=False)
+    prefixes: np.ndarray
+
+    def __post_init__(self):
+        prefixes = np.asarray(self.prefixes, dtype=np.uint64)
+        object.__setattr__(self, "prefixes", _read_only(prefixes))
 
     @property
     def alphabet_size(self) -> int:
         return len(self.prefixes) + 1
 
-    def bit_values(self):
-        """Prefix bit values as a sorted numpy array (cached)."""
-        import numpy as np
 
-        if self._bits is None:
-            self._bits = np.array([p.bits for p in self.prefixes], dtype=np.uint64)
-        return self._bits
+# The empty prefix: extending it by l_h bits gives the full first level.
+ROOT = _read_only(np.zeros(1, dtype=np.uint64))
 
 
-def construct_domain(
-    parents: list[PrefixCode], l_h: int, l_prev: int
-) -> CandidateDomain:
+def construct_domain(parents: np.ndarray, l_h: int, l_prev: int) -> CandidateDomain:
     """Extend each parent by every suffix of length l_h - l_prev.
 
-    The output holds |parents| * 2**(l_h - l_prev) prefixes in ascending
-    order, with the dummy slot enabled.
+    ``parents`` are distinct ``l_prev``-bit prefix values in any order;
+    ``construct_domain(ROOT, l_h, 0)`` is the full level of all 2**l_h
+    prefixes. The output holds |parents| * 2**(l_h - l_prev) prefixes in
+    ascending order, with the dummy slot enabled.
     """
-    if not parents:
+    parents = np.sort(np.asarray(parents, dtype=np.uint64))
+    if len(parents) == 0:
         raise ValueError("cannot construct a level from an empty parent set")
     if l_h <= l_prev:
         raise ValueError(f"level length {l_h} must exceed parent length {l_prev}")
     if l_h > 64:
         raise ValueError(f"level length {l_h} exceeds 64 bits")
-    for parent in parents:
-        if parent.length != l_prev:
-            raise ValueError(
-                f"parent {parent} has length {parent.length}, expected {l_prev}"
-            )
+    if int(parents[-1]) >> l_prev:
+        raise ValueError(f"parent 0x{int(parents[-1]):x} does not fit in {l_prev} bit(s)")
     shift = l_h - l_prev
-    children = sorted(
-        (parent.bits << shift) | suffix
-        for parent in parents
-        for suffix in range(1 << shift)
-    )
-    return CandidateDomain(l_h, [PrefixCode(bits, l_h) for bits in children])
-
-
-def full_level_domain(l_h: int) -> CandidateDomain:
-    """The complete domain of all 2**l_h prefixes (used at the first level)."""
-    if not 1 <= l_h <= 64:
-        raise ValueError(f"level length must be in [1, 64], got {l_h}")
-    if l_h > MAX_FIRST_LEVEL_BITS:
-        raise ValueError(f"refusing to enumerate 2**{l_h} first-level prefixes")
-    return CandidateDomain(l_h, [PrefixCode(bits, l_h) for bits in range(1 << l_h)])
+    if len(parents) << shift > MAX_DOMAIN_SIZE:
+        raise ValueError(
+            f"refusing to enumerate {len(parents)} * 2**{shift} prefixes, "
+            f"more than {MAX_DOMAIN_SIZE}"
+        )
+    children = (parents[:, None] << np.uint64(shift)) | np.arange(1 << shift, dtype=np.uint64)
+    return CandidateDomain(l_h, children.ravel())

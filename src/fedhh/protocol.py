@@ -12,6 +12,9 @@ O(users). Splitting users into groups draws multivariate hypergeometric
 counts, which has the same law as cutting a uniform random permutation of the
 users into consecutive chunks. The one per-user step left is the expansion
 of a group into true domain indices at the ``oracles.perturb_counts`` call.
+Candidate domains, rankings and selections are uint64 arrays of prefix bit
+values; :class:`PrefixCode` objects are built only for the uploads and the
+server's merged counts and top-k.
 
 Engine contract: every engine is a function of read-only parties, the
 protocol parameters and a 64-bit ``run_key``. It writes to none of its
@@ -40,11 +43,12 @@ from fedhh._rng import derive_key
 from fedhh.extension import RankedEstimates, extension_number
 from fedhh.oracles import OracleConfig
 from fedhh.prefix_codec import (
-    MAX_FIRST_LEVEL_BITS,
+    MAX_DOMAIN_SIZE,
+    ROOT,
     CandidateDomain,
     PrefixCode,
+    _read_only,
     construct_domain,
-    full_level_domain,
     level_length,
 )
 
@@ -69,7 +73,7 @@ class ProtocolError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolParams:
     """All protocol parameters shared by the trie mechanisms."""
 
@@ -90,11 +94,6 @@ class ProtocolParams:
             raise ValueError(f"need 1 <= g_s < g, got g_s={self.g_s}, g={self.g}")
         if self.g > self.m:
             raise ValueError(f"need g <= m so every level adds a bit, got g={self.g}, m={self.m}")
-        if level_length(1, self.m, self.g) > MAX_FIRST_LEVEL_BITS:
-            raise ValueError(
-                f"need ceil(m/g) <= {MAX_FIRST_LEVEL_BITS}, the first level's prefix length, "
-                f"got m={self.m}, g={self.g}"
-            )
         if self.k < 2:
             raise ValueError("k must be at least 2")
         oracles.check_epsilon(self.epsilon)
@@ -106,12 +105,15 @@ class ProtocolParams:
             raise ValueError("dividing_ratio must be in [0, 0.5)")
         if self.fixed_t is not None and self.fixed_t < 1:
             raise ValueError("fixed_t must be at least 1")
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    view = array.view()
-    view.flags.writeable = False
-    return view
+        # A level extends at most `width` parents (fixed_t, or the adaptive
+        # t = k* + eta <= 2k) by at most ceil(m/g) bits.
+        width = self.fixed_t if self.fixed_t is not None else 2 * self.k
+        step = level_length(1, self.m, self.g)
+        if width << step > MAX_DOMAIN_SIZE:
+            raise ValueError(
+                f"a level can hold {width} * 2**{step} candidates, more than {MAX_DOMAIN_SIZE}; "
+                f"got m={self.m}, g={self.g}, k={self.k}, fixed_t={self.fixed_t}"
+            )
 
 
 @dataclass(frozen=True)
@@ -219,14 +221,6 @@ def pool_counts(parties: list[PartyState]) -> tuple[np.ndarray, np.ndarray]:
 LevelGroups = dict[int, UserGroup]
 
 
-@dataclass
-class LevelEstimate:
-    """One group's ranked frequency estimates and population-scaled counts."""
-
-    ranked: RankedEstimates
-    scaled_counts: np.ndarray  # aligned with ranked order
-
-
 @dataclass(frozen=True)
 class RunResult:
     """Everything one engine run produces.
@@ -294,30 +288,29 @@ def estimate_level(
     group: UserGroup,
     params: ProtocolParams,
     stream_key: int,
-) -> LevelEstimate:
+) -> RankedEstimates:
     """One group's sanitized frequency estimate over a candidate domain.
 
     Each user of ``group`` perturbs the ``domain.level_length``-bit prefix of
     her item (out-of-domain prefixes map to the dummy slot). The prefix
     lookup runs once per distinct item of the group. The dummy estimate is
-    discarded, the rest are ranked by descending frequency (ascending prefix
-    value on ties) and scaled by the party's full population.
+    discarded and the rest are ranked by descending frequency (ascending
+    prefix value on ties).
     """
-    if not domain.prefixes:
+    dom_bits = domain.prefixes
+    if len(dom_bits) == 0:
         raise ProtocolError("candidate domain is empty")
-    dom_bits = domain.bit_values()
     d = domain.alphabet_size
     config = OracleConfig(params.oracle, params.epsilon, d)
     n = len(group)
     n_real = len(dom_bits)
     if n == 0:
-        ranked = RankedEstimates(
-            list(domain.prefixes),
+        return RankedEstimates(
+            dom_bits,
             np.zeros(n_real),
             sigma=math.sqrt(oracles.variance(config, 1)),
             level_length=domain.level_length,
         )
-        return LevelEstimate(ranked, np.zeros(n_real))
     shift = np.uint64(party.item_length - domain.level_length)
     prefixes = group.codes >> shift
     pos = np.minimum(np.searchsorted(dom_bits, prefixes), n_real - 1)
@@ -327,28 +320,31 @@ def estimate_level(
     estimates = oracles.estimate_from_counts(config, counts, n)[:n_real]
     sigma = math.sqrt(oracles.variance(config, n))
     order = np.lexsort((dom_bits, -estimates))
-    ranked = RankedEstimates(
-        [domain.prefixes[i] for i in order],
+    return RankedEstimates(
+        dom_bits[order],
         estimates[order],
         sigma=sigma,
         level_length=domain.level_length,
     )
-    return LevelEstimate(ranked, estimates[order] * party.n_users)
 
 
-def _select_extension(est: LevelEstimate, params: ProtocolParams) -> tuple[list[PrefixCode], int]:
+def _select_extension(ranked: RankedEstimates, params: ProtocolParams) -> tuple[np.ndarray, int]:
     if params.fixed_t is not None:
-        t = max(1, min(params.fixed_t, len(est.ranked)))
+        t = max(1, min(params.fixed_t, len(ranked)))
     else:
-        t = extension_number(est.ranked, params.k)
-    return est.ranked.prefixes[:t], t
+        t = extension_number(ranked, params.k)
+    return ranked.prefixes[:t], t
 
 
-def _positive_entries(est: LevelEstimate, t: int) -> list[tuple[PrefixCode, float]]:
-    """The top-t selection filtered to strictly positive estimated counts."""
+def _positive_entries(
+    party: PartyState, ranked: RankedEstimates, t: int
+) -> list[tuple[PrefixCode, float]]:
+    """The top-t selection scaled by the party's population, filtered to
+    strictly positive estimated counts."""
+    counts = ranked.frequencies[:t] * party.n_users
     return [
-        (code, float(count))
-        for code, count in zip(est.ranked.prefixes[:t], est.scaled_counts[:t])
+        (PrefixCode(bits, ranked.level_length), count)
+        for bits, count in zip(ranked.prefixes[:t].tolist(), counts.tolist())
         if count > 0
     ]
 
@@ -359,25 +355,22 @@ def _party_level_pass(
     params: ProtocolParams,
     run_key: int,
     levels,
-    parents: list[PrefixCode] | None,
+    parents: np.ndarray,
     l_prev: int,
-) -> tuple[LevelEstimate, int]:
+) -> tuple[RankedEstimates, int]:
     """Construct + estimate + extend through ``levels``; returns the last step."""
-    est = None
+    ranked = None
     t = 0
     for h in levels:
         l_h = level_length(h, params.m, params.g)
-        if parents is None:
-            domain = full_level_domain(l_h)
-        else:
-            domain = construct_domain(parents, l_h, l_prev)
+        domain = construct_domain(parents, l_h, l_prev)
         key = derive_key(run_key, party.party_id, h, SUB_MAIN)
-        est = estimate_level(party, domain, groups[h], params, key)
-        parents, t = _select_extension(est, params)
+        ranked = estimate_level(party, domain, groups[h], params, key)
+        parents, t = _select_extension(ranked, params)
         l_prev = l_h
-    if est is None:
+    if ranked is None:
         raise ProtocolError("no levels to run")
-    return est, t
+    return ranked, t
 
 
 def _merge_reports(
@@ -430,10 +423,10 @@ def run_stc(
         raise ProtocolError("need at least one party")
     reports = []
     for party in parties:
-        est, t = _party_level_pass(
-            party, groups[party.party_id], params, run_key, range(1, params.g_s + 1), None, 0
+        ranked, t = _party_level_pass(
+            party, groups[party.party_id], params, run_key, range(1, params.g_s + 1), ROOT, 0
         )
-        reports.append((party.party_id, _positive_entries(est, t)))
+        reports.append((party.party_id, _positive_entries(party, ranked, t)))
     return _merge_reports(reports, params.k)
 
 
@@ -448,19 +441,20 @@ def run_tap(parties: list[PartyState], params: ProtocolParams, run_key: int) -> 
     shared = run_stc(parties, params, run_key, groups)
     if not shared.topk:
         return _no_phase_two(parties, params, shared)
+    shared_bits = np.array([code.bits for code in shared.topk], dtype=np.uint64)
     l_shared = level_length(params.g_s, params.m, params.g)
     reports = []
     for party in parties:
-        est, t = _party_level_pass(
+        ranked, t = _party_level_pass(
             party,
             groups[party.party_id],
             params,
             run_key,
             range(params.g_s + 1, params.g + 1),
-            shared.topk,
+            shared_bits,
             l_shared,
         )
-        reports.append((party.party_id, _positive_entries(est, t)))
+        reports.append((party.party_id, _positive_entries(party, ranked, t)))
     return _merge_reports(reports, params.k, shared.report_pairs)
 
 
@@ -472,10 +466,10 @@ def _pem_upload(
         params, fixed_t=params.fixed_t if params.fixed_t is not None else params.k
     )
     groups = assign_groups(party, pem_params, run_key, "pem")
-    est, t = _party_level_pass(
-        party, groups, pem_params, run_key, range(1, pem_params.g + 1), None, 0
+    ranked, t = _party_level_pass(
+        party, groups, pem_params, run_key, range(1, pem_params.g + 1), ROOT, 0
     )
-    return party.party_id, _positive_entries(est, t)
+    return party.party_id, _positive_entries(party, ranked, t)
 
 
 def run_pem_single(party: PartyState, params: ProtocolParams, run_key: int) -> RunResult:

@@ -14,6 +14,9 @@ The consensus size k' maximizes |agreement| / (k' (1+eps)^k') - gamma a^2
 with a = (k' - |agreement| + 1) / (k' + 1), where gamma grows as the sending
 party's population share shrinks. Damping wins unless the two rankings agree
 near the top, so pruning stays conservative per level.
+
+Packages and agreed sets hold prefixes as their integer bit values; the
+level fixes their length.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from fedhh._rng import derive_key
 from fedhh.extension import RankedEstimates
-from fedhh.prefix_codec import CandidateDomain, PrefixCode, construct_domain, level_length
+from fedhh.prefix_codec import CandidateDomain, construct_domain, level_length
 from fedhh.protocol import (
     SUB_MAIN,
     SUB_SPLIT,
@@ -52,8 +55,8 @@ class PruningPackage:
     """One level's hints for the next party: the sender's ranking extremes."""
 
     level: int
-    frequent: list[tuple[PrefixCode, float]]  # descending frequency
-    infrequent: list[tuple[PrefixCode, float]]  # ascending (frequency, bits)
+    frequent: list[tuple[int, float]]  # (bits, frequency), descending frequency
+    infrequent: list[tuple[int, float]]  # ascending (frequency, bits)
 
     @property
     def n_pairs(self) -> int:
@@ -65,7 +68,7 @@ class ConsensusResult:
     """Outcome of one agreement test: the chosen k' and the agreed set."""
 
     k_prime: int
-    pruned: set[PrefixCode]
+    pruned: set[int]
 
 
 def order_parties(parties: list[PartyState]) -> list[PartyState]:
@@ -91,17 +94,15 @@ def select_pruning_candidates(
     """
     if len(ranked) < 4 * k:
         return None
-    entries = [
-        (code, float(freq)) for code, freq in zip(ranked.prefixes, ranked.frequencies)
-    ]
+    entries = list(zip(ranked.prefixes.tolist(), ranked.frequencies.tolist()))
     frequent = entries[: 2 * k]
-    infrequent = sorted(entries[-2 * k :], key=lambda e: (e[1], e[0].bits))
+    infrequent = sorted(entries[-2 * k :], key=lambda e: (e[1], e[0]))
     return PruningPackage(level=level, frequent=frequent, infrequent=infrequent)
 
 
 def consensus_filter(
-    previous: list[PrefixCode],
-    validated: list[PrefixCode],
+    previous: list[int],
+    validated: list[int],
     k: int,
     epsilon: float,
     gamma: float,
@@ -116,7 +117,7 @@ def consensus_filter(
     if not previous or not validated:
         return ConsensusResult(0, set())
     best_k = 0
-    best_set: set[PrefixCode] = set()
+    best_set: set[int] = set()
     best_score = -np.inf
     for k_prime in range(1, k + 1):
         agreed = set(previous[:k_prime]) & set(validated[:k_prime])
@@ -130,9 +131,9 @@ def consensus_filter(
 
 
 def contrast_scores(
-    previous_frequent: list[tuple[PrefixCode, float]],
-    validated_frequent: list[tuple[PrefixCode, float]],
-) -> list[tuple[PrefixCode, float]]:
+    previous_frequent: list[tuple[int, float]],
+    validated_frequent: list[tuple[int, float]],
+) -> list[tuple[int, float]]:
     """Rank prefixes by how hard their support collapsed across parties.
 
     The score is previous frequency over local frequency (plus a small
@@ -145,20 +146,16 @@ def contrast_scores(
         (code, prev.get(code, 0.0) / (cur.get(code, 0.0) + _TAU))
         for code in prev.keys() | cur.keys()
     ]
-    return sorted(scored, key=lambda e: (-e[1], e[0].bits))
+    return sorted(scored, key=lambda e: (-e[1], e[0]))
 
 
-def _validation_domain(entries: list[tuple[PrefixCode, float]]) -> CandidateDomain:
-    prefixes = sorted((code for code, _ in entries), key=lambda c: c.bits)
-    return CandidateDomain(prefixes[0].length, prefixes)
+def _validation_domain(entries: list[tuple[int, float]], length: int) -> CandidateDomain:
+    return CandidateDomain(length, sorted(bits for bits, _ in entries))
 
 
-def _ascending_codes(est) -> list[PrefixCode]:
-    pairs = sorted(
-        zip(est.ranked.prefixes, est.ranked.frequencies),
-        key=lambda e: (e[1], e[0].bits),
-    )
-    return [code for code, _ in pairs]
+def _ascending_codes(ranked: RankedEstimates) -> list[int]:
+    """The ranked prefixes by ascending (frequency, bits)."""
+    return ranked.prefixes[np.lexsort((ranked.prefixes, ranked.frequencies))].tolist()
 
 
 def consensus_prune_level(
@@ -182,32 +179,33 @@ def consensus_prune_level(
         return domain, group
     rng = np.random.default_rng(derive_key(run_key, party.party_id, package.level, SUB_SPLIT))
     val0, val1, main = split_users(group, [n_val, n_val, len(group) - 2 * n_val], rng)
-    agreed: set[PrefixCode] = set()
+    length = domain.level_length
+    agreed: set[int] = set()
     if package.infrequent:
         key = derive_key(run_key, party.party_id, package.level, SUB_VAL0)
-        est = estimate_level(
-            party, _validation_domain(package.infrequent), val0, params, key
+        ranked = estimate_level(
+            party, _validation_domain(package.infrequent, length), val0, params, key
         )
-        previous_asc = [code for code, _ in package.infrequent]
+        previous_asc = [bits for bits, _ in package.infrequent]
         agreed |= consensus_filter(
-            previous_asc, _ascending_codes(est), params.k, params.epsilon, gamma
+            previous_asc, _ascending_codes(ranked), params.k, params.epsilon, gamma
         ).pruned
     if package.frequent:
         key = derive_key(run_key, party.party_id, package.level, SUB_VAL1)
-        est = estimate_level(
-            party, _validation_domain(package.frequent), val1, params, key
+        ranked = estimate_level(
+            party, _validation_domain(package.frequent, length), val1, params, key
         )
-        validated = list(zip(est.ranked.prefixes, est.ranked.frequencies))
-        collapsed = [code for code, _ in contrast_scores(package.frequent, validated)]
+        validated = list(zip(ranked.prefixes.tolist(), ranked.frequencies))
+        collapsed = [bits for bits, _ in contrast_scores(package.frequent, validated)]
         agreed |= consensus_filter(
-            collapsed, _ascending_codes(est), params.k, params.epsilon, gamma
+            collapsed, _ascending_codes(ranked), params.k, params.epsilon, gamma
         ).pruned
-    keep = [code for code in domain.prefixes if code not in agreed]
-    if not keep or len(keep) == len(domain.prefixes):
+    keep = domain.prefixes[~np.isin(domain.prefixes, np.array(list(agreed), dtype=np.uint64))]
+    if len(keep) == 0 or len(keep) == len(domain.prefixes):
         # Nothing to prune, or pruning would empty the level; estimate on the
         # original domain either way.
         return domain, main
-    return CandidateDomain(domain.level_length, keep), main
+    return CandidateDomain(length, keep), main
 
 
 def run_taps(parties: list[PartyState], params: ProtocolParams, run_key: int) -> RunResult:
@@ -222,6 +220,7 @@ def run_taps(parties: list[PartyState], params: ProtocolParams, run_key: int) ->
     shared = run_stc(parties, params, run_key, groups)
     if not shared.topk:
         return _no_phase_two(parties, params, shared)
+    shared_bits = np.array([code.bits for code in shared.topk], dtype=np.uint64)
     ordered = order_parties(parties)
     total_users = sum(p.n_users for p in parties)
     # A zero validation budget disables the exchange outright: no packages
@@ -239,9 +238,9 @@ def run_taps(parties: list[PartyState], params: ProtocolParams, run_key: int) ->
             if previous_party is None
             else (1.0 - previous_party.n_users / total_users) ** 2
         )
-        parents = shared.topk
+        parents = shared_bits
         l_prev = l_shared
-        est = None
+        ranked = None
         t = 0
         for h in range(params.g_s + 1, params.g + 1):
             domain = construct_domain(parents, level_length(h, params.m, params.g), l_prev)
@@ -249,15 +248,15 @@ def run_taps(parties: list[PartyState], params: ProtocolParams, run_key: int) ->
                 party, domain, incoming.get(h), groups[party.party_id][h], params, run_key, gamma
             )
             key = derive_key(run_key, party.party_id, h, SUB_MAIN)
-            est = estimate_level(party, domain, main, params, key)
-            parents, t = _select_extension(est, params)
+            ranked = estimate_level(party, domain, main, params, key)
+            parents, t = _select_extension(ranked, params)
             l_prev = domain.level_length
             if h in active and position < len(ordered) - 1:
-                package = select_pruning_candidates(est.ranked, params.k, h)
+                package = select_pruning_candidates(ranked, params.k, h)
                 if package is not None:
                     outgoing[h] = package
                     package_pairs += package.n_pairs
-        uploads[party.party_id] = _positive_entries(est, t)
+        uploads[party.party_id] = _positive_entries(party, ranked, t)
         incoming = outgoing
         previous_party = party
     reports = [(party.party_id, uploads[party.party_id]) for party in parties]

@@ -108,7 +108,7 @@ class ExperimentConfig:
         # Repeats would give rows the same run_id and double-count mean rows.
         if len(set(self.epsilon)) < len(self.epsilon) or len(set(self.k)) < len(self.k):
             raise ValueError(f"epsilon and k values must not repeat, got {self.epsilon} and {self.k}")
-        self.protocol_params(self.epsilon[0], self.k[0])  # raises on bad protocol fields
+        self.protocol_params(self.epsilon[0], max(self.k))  # raises on bad protocol fields
         if self.dirichlet_beta <= 0:
             raise ValueError("dirichlet_beta must be positive")
         if not 1 <= self.n_groups <= self.pool_size:

@@ -27,7 +27,6 @@ from fedhh.oracles import (
     ratio_bound_check,
     variance,
 )
-from fedhh.prefix_codec import PrefixCode
 from fedhh.protocol import ProtocolParams, run_fedpem, run_tap
 from fedhh.pruning import consensus_filter, run_taps
 from fedhh.runner import CSV_HEADER, ExperimentConfig, _dataset_rng, _scaled_specs, records_to_csv, run_experiment
@@ -134,11 +133,11 @@ def test_criterion_03_brute_force_equivalence():
         k = int(rng.integers(2, 11))
         length = int(rng.integers(2, 2 * k + 4))
         freqs = np.sort(rng.uniform(0, 1, size=length))[::-1]
-        codes = [PrefixCode(i, 12) for i in range(length)]
+        codes = np.arange(length, dtype=np.uint64)
         ranked = RankedEstimates(codes, freqs, sigma=0.01, level_length=12)
         if select_anchor(ranked, k) != _anchor_oracle(freqs, k):
             mismatches += 1
-    pool = [PrefixCode(i, 6) for i in range(12)]
+    pool = list(range(12))
     for _ in range(1000):
         k = int(rng.integers(2, 7))
         previous = [pool[i] for i in rng.permutation(12)[: int(rng.integers(1, 10))]]

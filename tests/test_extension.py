@@ -21,11 +21,10 @@ from fedhh.extension import (
     normal_cdf,
     select_anchor,
 )
-from fedhh.prefix_codec import PrefixCode
 
 
 def ranked(freqs, sigma=1e-6, bits=8):
-    codes = [PrefixCode(i, bits) for i in range(len(freqs))]
+    codes = np.arange(len(freqs), dtype=np.uint64)
     return RankedEstimates(codes, np.asarray(freqs, dtype=float), sigma, bits)
 
 

@@ -1,18 +1,23 @@
 """Bit-string codec and trie-level arithmetic."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fedhh.prefix_codec import (
+    ROOT,
     PrefixCode,
     construct_domain,
-    full_level_domain,
     level_length,
 )
 
 
-def _codes(bit_strings):
-    return [PrefixCode(int(s, 2), len(s)) for s in bit_strings]
+def _bits(bit_strings):
+    return np.array([int(s, 2) for s in bit_strings], dtype=np.uint64)
+
+
+def _strings(domain):
+    return [format(int(b), f"0{domain.level_length}b") for b in domain.prefixes]
 
 
 # ---------------------------------------------------------------------------
@@ -80,31 +85,35 @@ def test_level_length_range_errors():
 
 
 def test_construct_two_parents():
-    domain = construct_domain(_codes(["00", "10"]), 4, 2)
-    assert [str(p) for p in domain.prefixes] == [
+    domain = construct_domain(_bits(["00", "10"]), 4, 2)
+    assert _strings(domain) == [
         "0000", "0001", "0010", "0011", "1000", "1001", "1010", "1011",
     ]
+    assert domain.prefixes.dtype == np.uint64
+    assert not domain.prefixes.flags.writeable
     assert domain.level_length == 4
     assert domain.alphabet_size == 9  # eight prefixes plus the dummy slot
 
 
 def test_construct_single_parent():
-    domain = construct_domain(_codes(["0"]), 2, 1)
-    assert [str(p) for p in domain.prefixes] == ["00", "01"]
+    domain = construct_domain(_bits(["0"]), 2, 1)
+    assert _strings(domain) == ["00", "01"]
 
 
 def test_construct_full_fanout():
-    domain = construct_domain(_codes(["00", "01", "10", "11"]), 3, 2)
-    assert [p.bits for p in domain.prefixes] == list(range(8))
+    domain = construct_domain(_bits(["00", "01", "10", "11"]), 3, 2)
+    assert domain.prefixes.tolist() == list(range(8))
 
 
 def test_construct_errors():
-    with pytest.raises(ValueError):
-        construct_domain([], 4, 2)
-    with pytest.raises(ValueError):
-        construct_domain(_codes(["00"]), 2, 2)
-    with pytest.raises(ValueError):
-        construct_domain(_codes(["00", "01"]), 4, 3)  # parent length mismatch
+    with pytest.raises(ValueError, match="empty"):
+        construct_domain(_bits([]), 4, 2)
+    with pytest.raises(ValueError, match="must exceed"):
+        construct_domain(_bits(["00"]), 2, 2)
+    with pytest.raises(ValueError, match="does not fit"):
+        construct_domain(_bits(["000", "100"]), 4, 2)  # a 3-bit parent at l_prev = 2
+    with pytest.raises(ValueError, match="refusing"):
+        construct_domain(_bits(["00"]), 27, 2)  # a 25-bit step
 
 
 @given(
@@ -112,32 +121,34 @@ def test_construct_errors():
     st.integers(min_value=1, max_value=4),
 )
 def test_construct_cardinality_and_order(parent_bits, step):
-    parents = [PrefixCode(b, 8) for b in parent_bits]
+    parents = np.array(sorted(parent_bits), dtype=np.uint64)
     domain = construct_domain(parents, 8 + step, 8)
     assert len(domain.prefixes) == len(parents) * 2**step
-    values = [p.bits for p in domain.prefixes]
+    values = domain.prefixes.tolist()
     assert values == sorted(values)
     assert len(set(values)) == len(values)
+    assert {v >> step for v in values} == parent_bits
 
 
 @given(st.permutations(list(range(6))))
 def test_construct_permutation_invariance(order):
-    base = _codes(["000", "010", "011", "100", "110", "111"])
+    base = _bits(["000", "010", "011", "100", "110", "111"])
     reference = construct_domain(base, 5, 3)
-    shuffled = construct_domain([base[i] for i in order], 5, 3)
-    assert shuffled.prefixes == reference.prefixes
+    shuffled = construct_domain(base[order], 5, 3)
+    assert shuffled.prefixes.tolist() == reference.prefixes.tolist()
 
 
 # ---------------------------------------------------------------------------
-# full_level_domain
+# the full level: ROOT extended by l_h bits
 
 
 def test_full_level_domain():
-    domain = full_level_domain(3)
-    assert [p.bits for p in domain.prefixes] == list(range(8))
+    domain = construct_domain(ROOT, 3, 0)
+    assert domain.prefixes.tolist() == list(range(8))
+    assert domain.level_length == 3
     assert domain.alphabet_size == 9
 
 
 def test_full_level_domain_refuses_huge():
     with pytest.raises(ValueError):
-        full_level_domain(25)
+        construct_domain(ROOT, 25, 0)

@@ -9,7 +9,7 @@ import pytest
 
 from fedhh.datagen import PartySpec, exact_topk, generate_syn
 from fedhh.metrics import f1_score
-from fedhh.prefix_codec import CandidateDomain, PrefixCode, construct_domain, full_level_domain
+from fedhh.prefix_codec import ROOT, CandidateDomain, PrefixCode, construct_domain
 from fedhh import oracles
 from fedhh.protocol import (
     PARTY_USERS_LIMIT,
@@ -17,6 +17,7 @@ from fedhh.protocol import (
     ProtocolError,
     ProtocolParams,
     UserGroup,
+    _positive_entries,
     assign_groups,
     estimate_level,
     run_fedpem,
@@ -72,6 +73,29 @@ def _stc(parties, params, run_key):
 def test_params_validation(kw):
     with pytest.raises(ValueError):
         _params(**kw)
+
+
+@pytest.mark.parametrize(
+    "kw, builds",
+    [
+        (dict(m=48, g=2, g_s=1), False),  # 2k * 2**24 candidates at level 2
+        (dict(m=40, g=2, g_s=1), False),  # 2k * 2**20 > 2**24
+        (dict(m=48, g=4, g_s=1, fixed_t=5000), False),  # 5000 * 2**12 > 2**24
+        (dict(), True),
+        (dict(m=48, g=4, g_s=1), True),
+    ],
+)
+def test_params_bound_the_widest_level(kw, builds):
+    if builds:
+        ProtocolParams(**kw)
+    else:
+        with pytest.raises(ValueError, match="candidates"):
+            ProtocolParams(**kw)
+
+
+def test_params_are_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ProtocolParams().k = 3
 
 
 def test_party_state_validation():
@@ -196,21 +220,22 @@ def test_assign_groups_counts_are_hypergeometric(mode):
 
 def test_estimate_level_noiseless_rank_one():
     party = _party(0, np.full(2000, 0b1010), 4)
-    domain = full_level_domain(2)
-    est = estimate_level(party, domain, party.all_users, _params(m=4, g=2), stream_key=5)
-    assert est.ranked.prefixes[0] == PrefixCode(0b10, 2)
-    assert est.ranked.frequencies[0] == pytest.approx(1.0, abs=1e-2)
-    assert np.all(np.abs(est.ranked.frequencies[1:]) < 1e-2)
-    assert est.scaled_counts[0] == pytest.approx(2000, rel=1e-2)
-    assert est.ranked.sigma > 0
+    domain = construct_domain(ROOT, 2, 0)
+    ranked = estimate_level(party, domain, party.all_users, _params(m=4, g=2), stream_key=5)
+    assert ranked.prefixes[0] == 0b10
+    assert ranked.frequencies[0] == pytest.approx(1.0, abs=1e-2)
+    assert np.all(np.abs(ranked.frequencies[1:]) < 1e-2)
+    entries = _positive_entries(party, ranked, 1)
+    assert entries == [(PrefixCode(0b10, 2), pytest.approx(2000, rel=1e-2))]
+    assert ranked.sigma > 0
 
 
 def test_estimate_level_out_of_domain_goes_to_dummy():
     party = _party(0, np.full(5000, 0b1111), 4)
-    domain = construct_domain([PrefixCode(0, 2)], 4, 2)
-    est = estimate_level(party, domain, party.all_users, _params(m=4, g=2), stream_key=9)
-    assert np.max(np.abs(est.ranked.frequencies)) < 1e-3
-    assert len(est.ranked) == 4  # dummy slot itself is not reported
+    domain = construct_domain(np.array([0], dtype=np.uint64), 4, 2)
+    ranked = estimate_level(party, domain, party.all_users, _params(m=4, g=2), stream_key=9)
+    assert np.max(np.abs(ranked.frequencies)) < 1e-3
+    assert len(ranked) == 4  # dummy slot itself is not reported
 
 
 @pytest.mark.parametrize("kind", ["krr", "oue", "olh"])
@@ -223,26 +248,28 @@ def test_estimate_level_tracks_empirical_frequencies(kind):
     users = rng.choice(8, size=n, p=weights).astype(np.uint64)
     party = _party(0, users, 3)
     params = _params(m=3, g=2, g_s=1, epsilon=1.0, oracle=kind)
-    est = estimate_level(party, full_level_domain(3), party.all_users, params, stream_key=31)
+    domain = construct_domain(ROOT, 3, 0)
+    ranked = estimate_level(party, domain, party.all_users, params, stream_key=31)
     sigma = np.sqrt(variance(OracleConfig(kind, 1.0, 9), n))
     empirical = np.bincount(users.astype(np.int64), minlength=8) / n
-    for code, freq in zip(est.ranked.prefixes, est.ranked.frequencies):
-        assert abs(freq - empirical[code.bits]) < 5 * sigma
+    for bits, freq in zip(ranked.prefixes.tolist(), ranked.frequencies):
+        assert abs(freq - empirical[bits]) < 5 * sigma
 
 
 def test_estimate_level_empty_group():
     party = _party(0, np.array([1, 2, 3]), 4)
     empty = UserGroup(np.array([], dtype=np.uint64), np.array([], dtype=np.int64))
     assert len(empty) == 0
-    est = estimate_level(party, full_level_domain(2), empty, _params(m=4, g=2), 1)
-    assert np.all(est.ranked.frequencies == 0)
-    assert np.all(est.scaled_counts == 0)
-    assert est.ranked.sigma > 0
+    ranked = estimate_level(party, construct_domain(ROOT, 2, 0), empty, _params(m=4, g=2), 1)
+    assert ranked.prefixes.tolist() == [0, 1, 2, 3]
+    assert np.all(ranked.frequencies == 0)
+    assert _positive_entries(party, ranked, len(ranked)) == []
+    assert ranked.sigma > 0
 
 
 def test_estimate_level_requires_dummy_and_candidates():
     party = _party(0, np.array([0]), 4)
-    assert CandidateDomain(2, [PrefixCode(0, 2)]).alphabet_size == 2  # the dummy slot is built in
+    assert CandidateDomain(2, [0]).alphabet_size == 2  # the dummy slot is built in
     with pytest.raises(ProtocolError, match="empty"):
         estimate_level(party, CandidateDomain(2, []), party.all_users, _params(m=4, g=2), 1)
 
@@ -259,7 +286,7 @@ def test_estimate_level_reports_once_per_user(monkeypatch):
     monkeypatch.setattr(oracles, "perturb_counts", spy)
     # Two-bit prefixes: 00 x3, 01 x2, 10 x6, 11 x1; the domain holds 00 and 10.
     party = _party(0, [0, 2, 2, 4, 6, 8, 8, 8, 8, 10, 11, 12], 4)
-    domain = CandidateDomain(2, [PrefixCode(0b00, 2), PrefixCode(0b10, 2)])
+    domain = CandidateDomain(2, [0b00, 0b10])
     estimate_level(party, domain, party.all_users, _params(m=4, g=2), stream_key=3)
     n, histogram = seen[0]
     assert n == 12

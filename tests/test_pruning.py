@@ -8,7 +8,7 @@ import pytest
 from fedhh import pruning
 from fedhh.datagen import PartySpec, generate_syn
 from fedhh.extension import RankedEstimates
-from fedhh.prefix_codec import CandidateDomain, PrefixCode
+from fedhh.prefix_codec import CandidateDomain
 from fedhh.protocol import PartyState, ProtocolError, ProtocolParams, run_tap
 from fedhh.pruning import (
     PruningPackage,
@@ -23,7 +23,7 @@ from fedhh.pruning import (
 
 from hypergeometric import assert_hypergeometric
 
-A, B, C = PrefixCode(0, 4), PrefixCode(1, 4), PrefixCode(2, 4)
+A, B, C = 0, 1, 2  # prefix bit values
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ def test_active_levels_overlapping_windows_dedup():
 
 
 def _ranked(freqs, length=6):
-    codes = [PrefixCode(i, length) for i in range(len(freqs))]
+    codes = np.arange(len(freqs), dtype=np.uint64)
     return RankedEstimates(codes, np.asarray(freqs, dtype=float), sigma=0.01, level_length=length)
 
 
@@ -108,7 +108,7 @@ def test_consensus_empty_inputs():
 
 
 def test_consensus_disjoint_rankings_prune_nothing():
-    other = [PrefixCode(9, 4), PrefixCode(10, 4), PrefixCode(11, 4)]
+    other = [9, 10, 11]
     result = consensus_filter([A, B, C], other, k=3, epsilon=1.0, gamma=0.0)
     assert result.pruned == set()
 
@@ -138,7 +138,7 @@ def _consensus_oracle(previous, validated, k, epsilon, gamma):
 
 def test_consensus_matches_exhaustive_enumeration():
     rng = np.random.default_rng(77)
-    pool = [PrefixCode(i, 6) for i in range(12)]
+    pool = list(range(12))
     for _ in range(1000):
         k = int(rng.integers(2, 7))
         n_prev = int(rng.integers(1, 10))
@@ -187,11 +187,11 @@ def _prune_setup():
     present = [0x00, 0x04, 0x08, 0x0C]
     absent = [0x30, 0x34, 0x38, 0x3C]
     party = PartyState(0, present, [750] * 4, 6)
-    domain = CandidateDomain(6, [PrefixCode(b, 6) for b in sorted(present + absent)])
+    domain = CandidateDomain(6, np.array(sorted(present + absent), dtype=np.uint64))
     package = PruningPackage(
         level=3,
         frequent=[],
-        infrequent=[(PrefixCode(b, 6), 0.001 * (i + 1)) for i, b in enumerate(absent)],
+        infrequent=[(b, 0.001 * (i + 1)) for i, b in enumerate(absent)],
     )
     params = ProtocolParams(
         m=6, g=3, g_s=1, k=2, epsilon=20.0, oracle="krr", dividing_ratio=0.1
@@ -205,7 +205,7 @@ def test_prune_level_removes_agreed_absent_prefix():
     new_domain, main = consensus_prune_level(
         party, domain, package, group, params, run_key=555, gamma=0.0
     )
-    assert set(domain.prefixes) - set(new_domain.prefixes) == {PrefixCode(0x30, 6)}
+    assert set(domain.prefixes.tolist()) - set(new_domain.prefixes.tolist()) == {0x30}
     assert new_domain.alphabet_size == 8  # seven prefixes plus the dummy slot
     assert len(main) == 3000 - 2 * 300  # both validation slices spent
 
@@ -234,9 +234,7 @@ def test_prune_level_zero_budget_is_a_no_op():
 
 def test_prune_level_keeps_domain_when_agreement_misses_it():
     party, domain, package, params = _prune_setup()
-    outside = [
-        (PrefixCode(b, 6), 0.001 * (i + 1)) for i, b in enumerate([0x20, 0x24, 0x28, 0x2C])
-    ]
+    outside = [(b, 0.001 * (i + 1)) for i, b in enumerate([0x20, 0x24, 0x28, 0x2C])]
     package = PruningPackage(level=3, frequent=[], infrequent=outside)
     new_domain, _ = consensus_prune_level(
         party, domain, package, party.all_users, params, run_key=555, gamma=0.0
@@ -261,7 +259,7 @@ def test_prune_level_validation_split_is_hypergeometric(monkeypatch):
     party = PartyState(0, [0x00, 0x04, 0x08, 0x0C], [50, 30, 15, 5], 6)
     params = ProtocolParams(m=6, g=3, g_s=1, k=2, epsilon=20.0, oracle="krr", dividing_ratio=0.2)
     _, domain, package, _ = _prune_setup()
-    frequent = [(PrefixCode(0x00, 6), 0.5), (PrefixCode(0x04, 6), 0.3)]
+    frequent = [(0x00, 0.5), (0x04, 0.3)]
     package = PruningPackage(3, frequent, package.infrequent)
     trials = 3000
     samples = []

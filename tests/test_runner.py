@@ -105,6 +105,7 @@ def test_build_config_rejects_unknown_key():
         dict(scale=float("inf")),
         dict(scale=4546),  # the largest party would hold 10**9 users or more
         dict(mechanism="pem", scale=1283),  # so would pem's pooled party
+        dict(m=40, g=2, k=(2, 10)),  # k=10 widens level 2 to 20 * 2**20 candidates
     ],
 )
 def test_config_validation(kw):
