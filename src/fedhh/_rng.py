@@ -9,9 +9,7 @@ counts are a function of its stream key and its true-index histogram, the
 same for any thread count.
 
 The mixing function is the splitmix64 finalizer, which has full avalanche
-behavior. The same keyed construction doubles as the hash family of the
-local-hashing oracle (multiply-shift mixing followed by a modulo reduction
-onto the bucket range), which the per-user reference path evaluates.
+behavior.
 """
 
 from __future__ import annotations
@@ -32,15 +30,6 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def draw64(key: int, counter: int) -> int:
-    """The ``counter``-th 64-bit value of stream ``key``.
-
-    This is exactly the splitmix64 sequence seeded at ``key``, jumped to
-    position ``counter``.
-    """
-    return mix64((key + (counter + 1) * GOLDEN) & MASK64)
-
-
 def derive_key(key: int, *parts: int) -> int:
     """Derive a child stream key from ``key`` and an ordered tuple of ints.
 
@@ -51,13 +40,3 @@ def derive_key(key: int, *parts: int) -> int:
     for p in parts:
         h = mix64((h + GOLDEN + (p & MASK64)) & MASK64)
     return h
-
-
-def olh_bucket(hash_seed: int, index: int, d_prime: int) -> int:
-    """The pinned hash family for the local-hashing oracle.
-
-    Maps (seed, index) into [0, d_prime) via the keyed splitmix64 draw
-    followed by a modulo reduction. The modulo bias is at most
-    d_prime / 2**64 and is far below every tolerance used in this package.
-    """
-    return draw64(hash_seed, index) % d_prime

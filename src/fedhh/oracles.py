@@ -1,19 +1,16 @@
 """The three locally differentially private frequency oracles.
 
 k-ary randomized response (krr), optimized unary encoding (oue) and optimized
-local hashing (olh): perturbation, aggregation into support counts, unbiased
-frequency estimation and the analytic variance formulas. Estimates are never
+local hashing (olh): a group's support counts, unbiased frequency estimation
+and the analytic variance formulas. Estimates are never
 clipped; negative values are kept because rank order near zero matters to the
 trie protocols. The dummy slot is an ordinary domain index whose estimate the
 caller discards after aggregation.
 
-Two perturbation paths exist. ``perturb``/``aggregate`` work on explicit
-per-user reports and accept any ``numpy.random.Generator``; they are the
-reference client and server. The protocol engines use ``perturb_counts``,
-which draws a whole group's support counts from the group's true-index
-histogram n_x in O(d) draws instead of simulating n users over d cells. With
-p and q the support probabilities of Wang, Blocki, Li and Jha (USENIX
-Security 2017):
+The protocol engines use ``perturb_counts``, which draws a whole group's
+support counts from the group's true-index histogram n_x in O(d) draws
+instead of simulating n users over d cells. With p and q the support
+probabilities of Wang, Blocki, Li and Jha (USENIX Security 2017):
 
 - oue: every bit of every report is independent, so
   c_x = Bin(n_x, 1/2) + Bin(n - n_x, q) exactly.
@@ -36,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedhh._rng import derive_key, olh_bucket
+from fedhh._rng import derive_key
 
 KINDS = ("krr", "oue", "olh")
 
@@ -106,84 +103,6 @@ class OracleConfig:
         return 1.0 / self.d_prime
 
 
-@dataclass
-class OracleReport:
-    """One user's sanitized report, tagged by the oracle kind."""
-
-    kind: str
-    index: int | None = None  # krr: reported index
-    bits: np.ndarray | None = None  # oue: reported bit vector
-    hash_seed: int | None = None  # olh
-    bucket: int | None = None  # olh
-
-
-@dataclass
-class FrequencyTable:
-    """Support counts and unbiased frequency estimates per domain index."""
-
-    estimates: np.ndarray
-    support_counts: np.ndarray
-    n: int
-
-
-def perturb(config: OracleConfig, true_index: int, rng: np.random.Generator) -> OracleReport:
-    """Sanitize one user's index under the configured oracle."""
-    d = config.domain_size
-    if not 0 <= true_index < d:
-        raise ValueError(f"index {true_index} out of range [0, {d})")
-    if config.kind == "krr":
-        if rng.random() < config.p:
-            return OracleReport("krr", index=true_index)
-        other = int(rng.integers(0, d - 1))
-        if other >= true_index:
-            other += 1
-        return OracleReport("krr", index=other)
-    if config.kind == "oue":
-        thresholds = np.full(d, config.q)
-        thresholds[true_index] = 0.5
-        return OracleReport("oue", bits=(rng.random(d) < thresholds).astype(np.uint8))
-    dp = config.d_prime
-    seed = int(rng.integers(0, 1 << 64, dtype=np.uint64))
-    bucket = olh_bucket(seed, true_index, dp)
-    if rng.random() >= config.p:
-        # d' - 1 can exceed 2**63, past what rng.integers draws; reduce a
-        # Python integer with 64 spare bits (modulo bias below 2**-64).
-        n_bytes = ((dp - 1).bit_length() + 64 + 7) // 8
-        other = int.from_bytes(rng.bytes(n_bytes), "little") % (dp - 1)
-        if other >= bucket:
-            other += 1
-        bucket = other
-    return OracleReport("olh", hash_seed=seed, bucket=bucket)
-
-
-def aggregate(config: OracleConfig, reports: list[OracleReport]) -> FrequencyTable:
-    """Fold reports into support counts and unbiased frequency estimates."""
-    if not reports:
-        raise ValueError("cannot aggregate an empty report list")
-    d = config.domain_size
-    kinds = {r.kind for r in reports}
-    if kinds != {config.kind}:
-        raise ValueError(f"report kinds {kinds} do not match oracle {config.kind!r}")
-    if config.kind == "krr":
-        indices = np.array([r.index for r in reports], dtype=np.int64)
-        counts = np.bincount(indices, minlength=d).astype(np.int64)
-    elif config.kind == "oue":
-        for r in reports:
-            if len(r.bits) != d:
-                raise ValueError("report vector length does not match domain size")
-        counts = np.sum([r.bits for r in reports], axis=0, dtype=np.int64)
-    else:
-        counts = np.zeros(d, dtype=np.int64)
-        for r in reports:
-            for x in range(d):
-                counts[x] += olh_bucket(r.hash_seed, x, config.d_prime) == r.bucket
-    return FrequencyTable(
-        estimates=estimate_from_counts(config, counts, len(reports)),
-        support_counts=counts,
-        n=len(reports),
-    )
-
-
 def estimate_from_counts(config: OracleConfig, counts: np.ndarray, n: int) -> np.ndarray:
     """Unbiased estimator f_x = (c_x / n - q) / (p - q)."""
     if n < 1:
@@ -227,30 +146,3 @@ def variance(config: OracleConfig, n: int) -> float:
     if config.kind == "krr":
         return ((config.domain_size - 2) * math.exp(-config.epsilon) + 1) / (spread * n)
     return 4 / (spread * n)
-
-
-def ratio_bound_check(config: OracleConfig) -> float:
-    """Maximum likelihood ratio sup_{x,x',y} Pr[y|x] / Pr[y|x'].
-
-    Computed analytically from the probability tables; an oracle satisfies
-    its budget iff the returned ratio is <= e^eps.
-    """
-    if config.kind == "krr":
-        return config.p / config.q
-    if config.kind == "olh":
-        # Conditioned on the (input-independent) seed, the bucket follows a
-        # two-point distribution: p on the true hash, (1-p)/(d'-1) elsewhere.
-        p = config.p
-        return p * (config.d_prime - 1) / (1 - p)
-    # oue: any two inputs govern exactly two bit positions; the joint ratio
-    # is the product of the per-bit ratios. Enumerate the four possibilities.
-    p, q = config.p, config.q
-    best = 0.0
-    for bit_x in (0, 1):
-        for bit_other in (0, 1):
-            pr_x = p if bit_x else 1 - p  # position of x when x is the input
-            pr_x_alt = q if bit_x else 1 - q  # same position when it is not
-            pr_o = q if bit_other else 1 - q
-            pr_o_alt = p if bit_other else 1 - p
-            best = max(best, (pr_x * pr_o) / (pr_x_alt * pr_o_alt))
-    return best

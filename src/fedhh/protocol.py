@@ -1,9 +1,12 @@
 """Multi-party prefix-trie protocol engines.
 
-Covers user grouping, the per-level estimate step, phase I shared shallow
-trie construction, the two-phase adaptive mechanism (phase II extension), the
-single-party fixed-extension baseline and its federated variant, plus the
-server-side merge.
+Covers user grouping, the per-level estimate step, the level walk that every
+engine runs (build the level's domain, optionally prune it, estimate,
+extend), phase I shared shallow trie construction, the single-party
+fixed-extension baseline and its federated variant, plus the server-side
+merge. The two-phase adaptive mechanisms are in :mod:`fedhh.pruning`:
+``run_taps`` walks phase II with consensus pruning, and ``run_tap`` is
+``run_taps`` without the package exchange.
 
 Data contract: a party, a level group and a validation slice are all
 histograms, sorted distinct m-bit item codes with the number of users holding
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -270,18 +274,6 @@ def assign_groups(
     return dict(enumerate(split_users(party.all_users, sizes, rng), start=1))
 
 
-def _tap_groups(
-    parties: list[PartyState], params: ProtocolParams, run_key: int
-) -> dict[int, LevelGroups]:
-    """Every party's phase I and phase II groups, keyed by party id."""
-    groups = {
-        party.party_id: assign_groups(party, params, run_key, "tap") for party in parties
-    }
-    if len(groups) < len(parties):
-        raise ProtocolError("party ids must be distinct")
-    return groups
-
-
 def estimate_level(
     party: PartyState,
     domain: CandidateDomain,
@@ -349,28 +341,41 @@ def _positive_entries(
     ]
 
 
-def _party_level_pass(
+def _level_walk(
     party: PartyState,
     groups: LevelGroups,
     params: ProtocolParams,
     run_key: int,
-    levels,
-    parents: np.ndarray,
-    l_prev: int,
-) -> tuple[RankedEstimates, int]:
-    """Construct + estimate + extend through ``levels``; returns the last step."""
-    ranked = None
-    t = 0
+    levels: range,
+    parents: np.ndarray = ROOT,
+    prune=None,
+) -> Iterator[tuple[int, RankedEstimates, int]]:
+    """Walk one party through ``levels``, extending ``parents`` level by level.
+
+    At each level h the walk builds the candidate domain from the previous
+    selection, lets ``prune(h, domain, group)`` (when given) return a smaller
+    domain and the users left for the estimate, estimates the level on its
+    ``SUB_MAIN`` stream and extends. Yields (h, ranked estimates, t) per level;
+    the last level's top-t selection is the party's upload.
+    """
+    l_prev = 0 if levels[0] == 1 else level_length(levels[0] - 1, params.m, params.g)
     for h in levels:
-        l_h = level_length(h, params.m, params.g)
-        domain = construct_domain(parents, l_h, l_prev)
+        domain = construct_domain(parents, level_length(h, params.m, params.g), l_prev)
+        group = groups[h]
+        if prune is not None:
+            domain, group = prune(h, domain, group)
         key = derive_key(run_key, party.party_id, h, SUB_MAIN)
-        ranked = estimate_level(party, domain, groups[h], params, key)
+        ranked = estimate_level(party, domain, group, params, key)
         parents, t = _select_extension(ranked, params)
-        l_prev = l_h
-    if ranked is None:
-        raise ProtocolError("no levels to run")
-    return ranked, t
+        l_prev = domain.level_length
+        yield h, ranked, t
+
+
+def _upload(party: PartyState, walk) -> tuple[int, list[tuple[PrefixCode, float]]]:
+    """Run a party's level walk to its end; the upload is the last selection."""
+    for _, ranked, t in walk:
+        pass
+    return party.party_id, _positive_entries(party, ranked, t)
 
 
 def _merge_reports(
@@ -400,11 +405,6 @@ def _merge_reports(
     )
 
 
-def _no_phase_two(parties: list[PartyState], params: ProtocolParams, shared: RunResult) -> RunResult:
-    """The result when phase I found no candidate: every party uploads nothing."""
-    return _merge_reports([(party.party_id, []) for party in parties], params.k, shared.report_pairs)
-
-
 def run_stc(
     parties: list[PartyState],
     params: ProtocolParams,
@@ -421,41 +421,12 @@ def run_stc(
     """
     if not parties:
         raise ProtocolError("need at least one party")
-    reports = []
-    for party in parties:
-        ranked, t = _party_level_pass(
-            party, groups[party.party_id], params, run_key, range(1, params.g_s + 1), ROOT, 0
-        )
-        reports.append((party.party_id, _positive_entries(party, ranked, t)))
+    levels = range(1, params.g_s + 1)
+    reports = [
+        _upload(party, _level_walk(party, groups[party.party_id], params, run_key, levels))
+        for party in parties
+    ]
     return _merge_reports(reports, params.k)
-
-
-def run_tap(parties: list[PartyState], params: ProtocolParams, run_key: int) -> RunResult:
-    """The full two-phase adaptive mechanism.
-
-    Phase I builds the shared shallow trie; in phase II every party privately
-    extends it through the remaining levels with adaptive extension and
-    uploads its final candidates and counts for the server merge.
-    """
-    groups = _tap_groups(parties, params, run_key)
-    shared = run_stc(parties, params, run_key, groups)
-    if not shared.topk:
-        return _no_phase_two(parties, params, shared)
-    shared_bits = np.array([code.bits for code in shared.topk], dtype=np.uint64)
-    l_shared = level_length(params.g_s, params.m, params.g)
-    reports = []
-    for party in parties:
-        ranked, t = _party_level_pass(
-            party,
-            groups[party.party_id],
-            params,
-            run_key,
-            range(params.g_s + 1, params.g + 1),
-            shared_bits,
-            l_shared,
-        )
-        reports.append((party.party_id, _positive_entries(party, ranked, t)))
-    return _merge_reports(reports, params.k, shared.report_pairs)
 
 
 def _pem_upload(
@@ -466,10 +437,7 @@ def _pem_upload(
         params, fixed_t=params.fixed_t if params.fixed_t is not None else params.k
     )
     groups = assign_groups(party, pem_params, run_key, "pem")
-    ranked, t = _party_level_pass(
-        party, groups, pem_params, run_key, range(1, pem_params.g + 1), ROOT, 0
-    )
-    return party.party_id, _positive_entries(party, ranked, t)
+    return _upload(party, _level_walk(party, groups, pem_params, run_key, range(1, params.g + 1)))
 
 
 def run_pem_single(party: PartyState, params: ProtocolParams, run_key: int) -> RunResult:

@@ -1,4 +1,9 @@
-"""Sequential cross-party consensus pruning on top of the two-phase protocol.
+"""The two-phase adaptive mechanisms: TAP, and TAPS with consensus pruning.
+
+Both share phase I (:func:`fedhh.protocol.run_stc`) and walk phase II on the
+protocol's level walk. ``run_taps`` passes the walk a prune step;
+``run_tap`` is ``run_taps`` with a zero validation budget, so no package
+travels and no level is pruned.
 
 During phase II, parties run in descending population order. At a fixed set
 of active levels each party packages the extremes of its ranked level table
@@ -21,27 +26,26 @@ level fixes their length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from fedhh._rng import derive_key
 from fedhh.extension import RankedEstimates
-from fedhh.prefix_codec import CandidateDomain, construct_domain, level_length
+from fedhh.prefix_codec import CandidateDomain
 from fedhh.protocol import (
-    SUB_MAIN,
     SUB_SPLIT,
     SUB_VAL0,
     SUB_VAL1,
     PartyState,
+    ProtocolError,
     ProtocolParams,
     RunResult,
     UserGroup,
+    _level_walk,
     _merge_reports,
-    _no_phase_two,
     _positive_entries,
-    _select_extension,
-    _tap_groups,
+    assign_groups,
     estimate_level,
     run_stc,
     split_users,
@@ -211,46 +215,47 @@ def consensus_prune_level(
 def run_taps(parties: list[PartyState], params: ProtocolParams, run_key: int) -> RunResult:
     """The two-phase adaptive mechanism with sequential consensus pruning.
 
-    Phase I is the shared shallow trie, unchanged. In phase II parties run in
-    descending population order; at every active level each non-final party
-    emits a pruning package consumed by its successor at the same level. With
-    a single party this reduces exactly to the unpruned mechanism.
+    Phase I builds the shared shallow trie. In phase II every party privately
+    extends it through the remaining levels with adaptive extension and
+    uploads its final candidates and counts for the server merge. Parties run
+    in descending population order; at every active level each non-final
+    party emits a pruning package consumed by its successor at the same
+    level. With a single party or a zero ``dividing_ratio`` no package
+    travels and this is the unpruned mechanism (:func:`run_tap`).
     """
-    groups = _tap_groups(parties, params, run_key)
+    groups = {party.party_id: assign_groups(party, params, run_key, "tap") for party in parties}
+    if len(groups) < len(parties):
+        raise ProtocolError("party ids must be distinct")
     shared = run_stc(parties, params, run_key, groups)
     if not shared.topk:
-        return _no_phase_two(parties, params, shared)
+        # Phase I found no candidate: every party uploads nothing.
+        reports = [(party.party_id, []) for party in parties]
+        return _merge_reports(reports, params.k, shared.report_pairs)
     shared_bits = np.array([code.bits for code in shared.topk], dtype=np.uint64)
     ordered = order_parties(parties)
     total_users = sum(p.n_users for p in parties)
-    # A zero validation budget disables the exchange outright: no packages
-    # are emitted, so costs and results match the unpruned mechanism.
-    active = set() if params.dividing_ratio == 0 else set(active_levels(params))
-    l_shared = level_length(params.g_s, params.m, params.g)
+    # A zero validation budget disables the exchange outright: no package is
+    # emitted and no level pruned. This is the unpruned mechanism, run_tap.
+    exchange = params.dividing_ratio > 0
+    active = set(active_levels(params)) if exchange else set()
+    phase_two = range(params.g_s + 1, params.g + 1)
     incoming: dict[int, PruningPackage] = {}
-    previous_party: PartyState | None = None
+    gamma = 0.0  # the first party receives no package
     uploads = {}
     package_pairs = 0
     for position, party in enumerate(ordered):
         outgoing: dict[int, PruningPackage] = {}
-        gamma = (
-            0.0
-            if previous_party is None
-            else (1.0 - previous_party.n_users / total_users) ** 2
-        )
-        parents = shared_bits
-        l_prev = l_shared
-        ranked = None
-        t = 0
-        for h in range(params.g_s + 1, params.g + 1):
-            domain = construct_domain(parents, level_length(h, params.m, params.g), l_prev)
-            domain, main = consensus_prune_level(
-                party, domain, incoming.get(h), groups[party.party_id][h], params, run_key, gamma
+
+        def prune(h, domain, group):
+            return consensus_prune_level(
+                party, domain, incoming.get(h), group, params, run_key, gamma
             )
-            key = derive_key(run_key, party.party_id, h, SUB_MAIN)
-            ranked = estimate_level(party, domain, main, params, key)
-            parents, t = _select_extension(ranked, params)
-            l_prev = domain.level_length
+
+        walk = _level_walk(
+            party, groups[party.party_id], params, run_key, phase_two, shared_bits,
+            prune if exchange else None,
+        )
+        for h, ranked, t in walk:
             if h in active and position < len(ordered) - 1:
                 package = select_pruning_candidates(ranked, params.k, h)
                 if package is not None:
@@ -258,6 +263,12 @@ def run_taps(parties: list[PartyState], params: ProtocolParams, run_key: int) ->
                     package_pairs += package.n_pairs
         uploads[party.party_id] = _positive_entries(party, ranked, t)
         incoming = outgoing
-        previous_party = party
+        gamma = (1.0 - party.n_users / total_users) ** 2
     reports = [(party.party_id, uploads[party.party_id]) for party in parties]
     return _merge_reports(reports, params.k, shared.report_pairs, package_pairs)
+
+
+def run_tap(parties: list[PartyState], params: ProtocolParams, run_key: int) -> RunResult:
+    """The two-phase adaptive mechanism without pruning: :func:`run_taps`
+    with no package exchange, whatever ``params.dividing_ratio`` says."""
+    return run_taps(parties, replace(params, dividing_ratio=0.0), run_key)

@@ -47,9 +47,8 @@ from fedhh.protocol import (
     pool_counts,
     run_fedpem,
     run_pem_single,
-    run_tap,
 )
-from fedhh.pruning import run_taps
+from fedhh.pruning import run_tap, run_taps
 
 MECHANISMS = ("pem", "fedpem", "tap", "taps")
 CSV_HEADER = [
@@ -456,9 +455,12 @@ def _overrides_from_args(args: argparse.Namespace) -> dict[str, str]:
     return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
 
 
-def _cmd_run(args) -> int:
-    file_values = parse_config_file(args.config) if args.config else {}
-    config = build_config(file_values, _overrides_from_args(args))
+def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
+    try:
+        file_values = parse_config_file(args.config) if args.config else {}
+        config = build_config(file_values, _overrides_from_args(args))
+    except ValueError as exc:  # a bad config is a usage error: one line, exit status 2
+        parser.error(str(exc))
     records = run_experiment(config)
     if not config.output:
         sys.stdout.write(records_to_csv(records))
@@ -540,7 +542,7 @@ def main(argv=None) -> int:
     run_parser = sub.add_parser("run", help="execute an experiment config")
     run_parser.add_argument("--config", help="key=value config file")
     _add_override_args(run_parser)
-    run_parser.set_defaults(func=_cmd_run)
+    run_parser.set_defaults(func=lambda args: _cmd_run(args, run_parser))
 
     gen_parser = sub.add_parser("generate", help="emit a synthetic dataset plus manifest")
     gen_parser.add_argument("--out", required=True)

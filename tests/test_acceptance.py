@@ -20,16 +20,12 @@ from fedhh._rng import derive_key
 from fedhh.datagen import PartySpec, exact_topk, generate_syn
 from fedhh.extension import RankedEstimates, drift_probability, select_anchor
 from fedhh.metrics import f1_score
-from fedhh.oracles import (
-    OracleConfig,
-    estimate_from_counts,
-    perturb_counts,
-    ratio_bound_check,
-    variance,
-)
-from fedhh.protocol import ProtocolParams, run_fedpem, run_tap
-from fedhh.pruning import consensus_filter, run_taps
+from fedhh.oracles import OracleConfig, estimate_from_counts, perturb_counts, variance
+from fedhh.protocol import ProtocolParams, run_fedpem
+from fedhh.pruning import consensus_filter, run_tap, run_taps
 from fedhh.runner import CSV_HEADER, ExperimentConfig, _dataset_rng, _scaled_specs, records_to_csv, run_experiment
+
+from oracle_reference import ratio_bound_check
 
 ACC_SEED = 2024
 KINDS = ("krr", "oue", "olh")

@@ -320,5 +320,5 @@ def test_exact_topk_validation():
 
 
 def test_ground_truth_codes_property():
-    gt = GroundTruth(topk=[(PrefixCode(3, 4), 0.5)], k=1, total_users=10)
+    gt = GroundTruth(topk=[(PrefixCode(3, 4), 0.5)], total_users=10)
     assert gt.codes == [PrefixCode(3, 4)]

@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedhh import oracles
-from fedhh._rng import derive_key, olh_bucket
+from fedhh._rng import derive_key
 from fedhh.oracles import OracleConfig
+
+import oracle_reference
 
 LN3 = math.log(3.0)
 
@@ -81,7 +83,7 @@ def test_every_config_is_rejected_or_finite(kind, eps, d):
     for n in (1, 10**9):
         assert math.isfinite(oracles.variance(config, n))
     assert math.isfinite(config.p) and math.isfinite(config.q)
-    assert math.isfinite(oracles.ratio_bound_check(config))
+    assert math.isfinite(oracle_reference.ratio_bound_check(config))
     items = np.arange(50) % d
     counts = oracles.perturb_counts(config, 3, items, items)
     assert counts.shape == (d,)
@@ -138,14 +140,14 @@ def test_variance_rejects_zero_reports():
 @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 4.0])
 @pytest.mark.parametrize("d", [2, 16, 1024])
 def test_ratio_bound(kind, eps, d):
-    ratio = oracles.ratio_bound_check(OracleConfig(kind, eps, d))
+    ratio = oracle_reference.ratio_bound_check(OracleConfig(kind, eps, d))
     assert ratio <= math.exp(eps) * (1 + 1e-12)
 
 
 def test_ratio_is_tight():
     # All three mechanisms use their full budget: the max ratio equals e^eps.
     for kind in oracles.KINDS:
-        ratio = oracles.ratio_bound_check(OracleConfig(kind, LN3, 4))
+        ratio = oracle_reference.ratio_bound_check(OracleConfig(kind, LN3, 4))
         assert ratio == pytest.approx(3.0, rel=1e-12)
 
 
@@ -157,7 +159,7 @@ def test_perturb_krr_empirical_rates():
     config = OracleConfig("krr", LN3, 4)
     rng = np.random.default_rng(11)
     n = 40_000
-    hits = sum(oracles.perturb(config, 2, rng).index == 2 for _ in range(n))
+    hits = sum(oracle_reference.perturb(config, 2, rng).index == 2 for _ in range(n))
     se = math.sqrt(config.p * (1 - config.p) / n)
     assert abs(hits / n - config.p) <= 4 * se
 
@@ -166,7 +168,7 @@ def test_perturb_oue_bit_rates():
     config = OracleConfig("oue", LN3, 8)
     rng = np.random.default_rng(12)
     n = 20_000
-    bits = np.array([oracles.perturb(config, 3, rng).bits for _ in range(n)])
+    bits = np.array([oracle_reference.perturb(config, 3, rng).bits for _ in range(n)])
     rates = bits.mean(axis=0)
     se_p = math.sqrt(config.p * (1 - config.p) / n)
     se_q = math.sqrt(config.q * (1 - config.q) / n)
@@ -181,8 +183,8 @@ def test_perturb_olh_keeps_true_bucket_at_rate_p():
     n = 20_000
     kept = 0
     for _ in range(n):
-        report = oracles.perturb(config, 5, rng)
-        kept += report.bucket == olh_bucket(report.hash_seed, 5, config.d_prime)
+        report = oracle_reference.perturb(config, 5, rng)
+        kept += report.bucket == oracle_reference.olh_bucket(report.hash_seed, 5, config.d_prime)
     se = math.sqrt(config.p * (1 - config.p) / n)
     assert abs(kept / n - config.p) <= 4 * se
 
@@ -196,8 +198,8 @@ def test_perturb_olh_at_large_epsilon(eps):
     n = 4_000
     kept = 0
     for _ in range(n):
-        report = oracles.perturb(config, 1, rng)
-        kept += report.bucket == olh_bucket(report.hash_seed, 1, config.d_prime)
+        report = oracle_reference.perturb(config, 1, rng)
+        kept += report.bucket == oracle_reference.olh_bucket(report.hash_seed, 1, config.d_prime)
     se = math.sqrt(config.p * (1 - config.p) / n)
     assert abs(kept / n - config.p) <= 4.5 * se
 
@@ -205,14 +207,14 @@ def test_perturb_olh_at_large_epsilon(eps):
 def test_perturb_index_range_checked():
     config = OracleConfig("krr", 1.0, 4)
     with pytest.raises(ValueError):
-        oracles.perturb(config, 4, np.random.default_rng(0))
+        oracle_reference.perturb(config, 4, np.random.default_rng(0))
 
 
 def test_aggregate_noiseless_limit():
     config = OracleConfig("krr", 20.0, 4)
     rng = np.random.default_rng(5)
-    reports = [oracles.perturb(config, 2, rng) for _ in range(1000)]
-    table = oracles.aggregate(config, reports)
+    reports = [oracle_reference.perturb(config, 2, rng) for _ in range(1000)]
+    table = oracle_reference.aggregate(config, reports)
     assert table.n == 1000
     assert table.estimates[2] == pytest.approx(1.0, abs=1e-2)
     assert np.all(np.abs(np.delete(table.estimates, 2)) < 1e-2)
@@ -221,17 +223,17 @@ def test_aggregate_noiseless_limit():
 def test_aggregate_rejects_empty_and_mixed():
     config = OracleConfig("oue", 1.0, 4)
     with pytest.raises(ValueError):
-        oracles.aggregate(config, [])
-    krr_report = oracles.perturb(OracleConfig("krr", 1.0, 4), 0, np.random.default_rng(1))
+        oracle_reference.aggregate(config, [])
+    krr_report = oracle_reference.perturb(OracleConfig("krr", 1.0, 4), 0, np.random.default_rng(1))
     with pytest.raises(ValueError):
-        oracles.aggregate(config, [krr_report])
+        oracle_reference.aggregate(config, [krr_report])
 
 
 def test_aggregate_rejects_wrong_vector_length():
     config = OracleConfig("oue", 1.0, 4)
-    bad = oracles.OracleReport("oue", bits=np.zeros(5, dtype=np.uint8))
+    bad = oracle_reference.OracleReport("oue", bits=np.zeros(5, dtype=np.uint8))
     with pytest.raises(ValueError):
-        oracles.aggregate(config, [bad])
+        oracle_reference.aggregate(config, [bad])
 
 
 def test_aggregate_krr_within_five_sigma():
@@ -241,8 +243,8 @@ def test_aggregate_krr_within_five_sigma():
     true = np.array([0.5, 0.3, 0.2])
     n = 20_000
     items = rng.choice(3, size=n, p=true)
-    reports = [oracles.perturb(config, int(x), rng) for x in items]
-    table = oracles.aggregate(config, reports)
+    reports = [oracle_reference.perturb(config, int(x), rng) for x in items]
+    table = oracle_reference.aggregate(config, reports)
     sigma = math.sqrt(oracles.variance(config, n))
     assert np.max(np.abs(table.estimates - true)) <= 5 * sigma
     assert table.support_counts.sum() == n  # krr reports exactly one index each
@@ -254,8 +256,8 @@ def test_aggregate_olh_within_five_sigma():
     true = np.array([0.5, 0.3, 0.2])
     n = 20_000
     items = rng.choice(3, size=n, p=true)
-    reports = [oracles.perturb(config, int(x), rng) for x in items]
-    table = oracles.aggregate(config, reports)
+    reports = [oracle_reference.perturb(config, int(x), rng) for x in items]
+    table = oracle_reference.aggregate(config, reports)
     sigma = math.sqrt(oracles.variance(config, n))
     assert np.max(np.abs(table.estimates - true)) <= 5 * sigma
 
@@ -394,8 +396,8 @@ def test_perturb_counts_matches_per_user_reference(kind, d):
     items = np.minimum(rng.geometric(0.5, size=_REF_USERS) - 1, d - 1)
     reference = np.array(
         [
-            oracles.aggregate(
-                config, [oracles.perturb(config, int(x), rng) for x in items]
+            oracle_reference.aggregate(
+                config, [oracle_reference.perturb(config, int(x), rng) for x in items]
             ).support_counts
             for _ in range(_REF_TRIALS)
         ]

@@ -23,9 +23,8 @@ from fedhh.protocol import (
     run_fedpem,
     run_pem_single,
     run_stc,
-    run_tap,
 )
-from fedhh.pruning import run_taps
+from fedhh.pruning import run_tap, run_taps
 from hypergeometric import assert_hypergeometric
 
 

@@ -9,7 +9,7 @@ from fedhh import pruning
 from fedhh.datagen import PartySpec, generate_syn
 from fedhh.extension import RankedEstimates
 from fedhh.prefix_codec import CandidateDomain
-from fedhh.protocol import PartyState, ProtocolError, ProtocolParams, run_tap
+from fedhh.protocol import PartyState, ProtocolError, ProtocolParams
 from fedhh.pruning import (
     PruningPackage,
     active_levels,
@@ -17,6 +17,7 @@ from fedhh.pruning import (
     consensus_prune_level,
     contrast_scores,
     order_parties,
+    run_tap,
     run_taps,
     select_pruning_candidates,
 )

@@ -1,5 +1,7 @@
 """Experiment configuration, execution records, cost accounting, CLI."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from fedhh import oracles, runner
 from fedhh.datagen import PartySpec, generate_syn
-from fedhh.protocol import PartyState, ProtocolParams, run_fedpem, run_tap
-from fedhh.pruning import active_levels, run_taps
+from fedhh.protocol import PartyState, ProtocolParams, run_fedpem
+from fedhh.pruning import active_levels, run_tap, run_taps
 from fedhh.runner import (
     CSV_HEADER,
     MECHANISMS,
@@ -394,6 +396,9 @@ def test_account_costs_zero_ratio_has_zero_cap():
     plain = run_tap(_taps_parties(), params, run_key=3)
     assert pruned.package_pairs == 0
     assert pruned.uploaded_bytes == plain.uploaded_bytes
+    # tap is taps without the exchange, so the ratio it is given changes nothing.
+    assert pruned == plain
+    assert run_tap(_taps_parties(), replace(params, dividing_ratio=0.3), run_key=3) == plain
 
 
 def test_account_costs_without_params_is_totals_only():
@@ -480,3 +485,14 @@ def test_cli_oracle_bench_smoke(capsys):
     out = capsys.readouterr().out
     assert "krr" in out
     assert "theory var" in out
+
+
+def test_cli_config_error_is_a_usage_error(capsys):
+    # g=2 at m=48 puts 20 * 2**24 candidates on a level: argparse reports it
+    # in one error line and exits 2, with no traceback.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--m", "48", "--g", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "fedhh run: error: a level can hold 20 * 2**24 candidates" in err
+    assert "Traceback" not in err
