@@ -63,7 +63,6 @@ class GroundTruth:
     """Exact population-level top-k item codes with their global frequencies."""
 
     topk: list[tuple[PrefixCode, float]]
-    total_users: int
 
     @property
     def codes(self) -> list[PrefixCode]:
@@ -231,4 +230,4 @@ def exact_topk(parties: list[PartyState], k: int) -> GroundTruth:
     order = np.lexsort((codes, -counts))[:k]
     total = int(counts.sum())
     topk = [(PrefixCode(int(codes[i]), m), counts[i] / total) for i in order]
-    return GroundTruth(topk=topk, total_users=total)
+    return GroundTruth(topk=topk)

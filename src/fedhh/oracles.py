@@ -126,7 +126,7 @@ def perturb_counts(
             f"true_index has shape {true.shape}, user_index has length {len(user_index)}"
         )
     n = len(true)
-    if n and (true.min() < 0 or true.max() >= d):
+    if n and true.view(np.uint64).max() >= d:  # negatives wrap to huge unsigned values
         raise ValueError(f"true_index values must lie in [0, {d})")
     hist = np.bincount(true, minlength=d)
     rng = np.random.default_rng(derive_key(stream_key, _STREAM_COUNTS))

@@ -10,14 +10,20 @@ merge. The two-phase adaptive mechanisms are in :mod:`fedhh.pruning`:
 
 Data contract: a party, a level group and a validation slice are all
 histograms, sorted distinct m-bit item codes with the number of users holding
-each, so grouping and prefix lookup cost O(distinct items) rather than
-O(users). Splitting users into groups draws multivariate hypergeometric
-counts, which has the same law as cutting a uniform random permutation of the
-users into consecutive chunks. The one per-user step left is the expansion
-of a group into true domain indices at the ``oracles.perturb_counts`` call.
-Candidate domains, rankings and selections are uint64 arrays of prefix bit
-values; :class:`PrefixCode` objects are built only for the uploads and the
-server's merged counts and top-k.
+each, so prefix lookup costs O(distinct items) and grouping O(distinct items
+x g), not O(users). Splitting users into groups draws multivariate
+hypergeometric counts, which has the same law as cutting a uniform random
+permutation of the users into consecutive chunks. :func:`split_users` draws
+it in two parts: items held by at most 4(g - 1) users for g groups are light,
+the rest heavy. One hypergeometric draw over the group sizes seats the light
+users; heavy items are halved recursively against the remaining seats and
+light users get permuted group labels, block by block. Given which seats
+hold light users, each part is uniformly permuted over its own seats, so the
+law is exact, and a split costs O(heavy items x g + light users). The other
+per-user step is the expansion of a group into true domain indices at the
+``oracles.perturb_counts`` call. Candidate domains, rankings and selections
+are uint64 arrays of prefix bit values; :class:`PrefixCode` objects are built
+only for the uploads and the server's merged counts and top-k.
 
 Engine contract: every engine is a function of read-only parties, the
 protocol parameters and a 64-bit ``run_key``. It writes to none of its
@@ -66,6 +72,13 @@ SUB_SPLIT = 3
 _TAG_GROUPING = 101
 
 PAIR_BYTES = 16  # one uploaded (prefix, count) pair
+
+# split_users seats the users of an item held by at most this many users per
+# cut between groups one by one (by permutation) rather than halving its count.
+LIGHT_USERS_PER_CUT = 4
+# Light users are seated in blocks of about this many users, so the per-user
+# temporaries of a split stay this small.
+LIGHT_BLOCK_USERS = 1 << 14
 
 # A party must hold fewer users than this: numpy's multivariate
 # hypergeometric draw (method="marginals") that splits them into groups
@@ -140,20 +153,99 @@ def split_users(group: UserGroup, sizes: list[int], rng: np.random.Generator) ->
     """Split a group's users into groups of ``sizes`` users, uniformly at random.
 
     The law is that of cutting a uniform random permutation of the users into
-    consecutive chunks: the first half of the sizes takes a multivariate
-    hypergeometric sample of the users, the rest keep the remainder, and each
-    side splits again. Items a side does not hold are dropped from it, so the
-    cost shrinks with depth.
+    consecutive chunks. An item is light when at most
+    ``LIGHT_USERS_PER_CUT * (len(sizes) - 1)`` users hold it, heavy otherwise.
+    One multivariate hypergeometric draw over the sizes decides how many seats
+    of each group go to light users. Given which seats hold light users, the
+    light and the heavy users are each uniformly permuted over their own
+    seats, so the two parts are drawn apart and the law stays exact: heavy
+    items by recursive halving against the seats left (:func:`_halve`), light
+    users by permuting group labels (:func:`_seat_light`). The cost is
+    O(heavy items x groups + light users); at most 256 groups.
     """
     if len(sizes) == 1:
         return [group]
+    light = group.counts <= LIGHT_USERS_PER_CUT * (len(sizes) - 1)
+    light_seats = rng.multivariate_hypergeometric(sizes, int(group.counts[light].sum()))
+    heavy_parts = _halve(
+        UserGroup(group.codes[~light], group.counts[~light]),
+        (np.asarray(sizes) - light_seats).tolist(),
+        rng,
+    )
+    light_parts = _seat_light(UserGroup(group.codes[light], group.counts[light]), light_seats, rng)
+    parts = []
+    for part in heavy_parts:
+        codes, counts = light_parts.pop(0)  # frees each group's light pieces once merged
+        if codes:
+            codes = np.concatenate([part.codes, *codes])
+            order = np.argsort(codes, kind="stable")  # merges ascending runs in linear time
+            part = UserGroup(codes[order], np.concatenate([part.counts, *counts])[order])
+        parts.append(part)
+    return parts
+
+
+def _halve(group: UserGroup, sizes: list[int], rng: np.random.Generator) -> list[UserGroup]:
+    """Split by recursive halving: the first half of the sizes takes a
+    multivariate hypergeometric sample of the users, the rest keep the
+    remainder, and each side splits again. Items a side does not hold are
+    dropped from it, so the cost shrinks with depth."""
+    if len(sizes) == 1 or len(group.codes) == 0:
+        return [group] * len(sizes)
     half = len(sizes) // 2
     left = rng.multivariate_hypergeometric(group.counts, sum(sizes[:half]), method="marginals")
     parts = []
     for counts, part_sizes in ((left, sizes[:half]), (group.counts - left, sizes[half:])):
         held = counts > 0
-        parts += split_users(UserGroup(group.codes[held], counts[held]), part_sizes, rng)
+        parts += _halve(UserGroup(group.codes[held], counts[held]), part_sizes, rng)
     return parts
+
+
+def _seat_light(
+    group: UserGroup, seats: np.ndarray, rng: np.random.Generator
+) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
+    """Seat the users in groups of ``seats`` users, uniformly at random, block by block.
+
+    Returns each group's histogram as pieces to concatenate: ascending code
+    arrays, one per block that seats users there, and their user counts.
+
+    A block is a run of whole items holding about ``LIGHT_BLOCK_USERS`` users.
+    It takes a multivariate hypergeometric share of the seats left (the last
+    block takes them all) and permutes that many uint8 group labels over its
+    users, listed by item. A stable sort by label then lists each group's
+    users by item, and run lengths give its histogram. Taking consecutive
+    blocks is the chain rule of one permutation of all the users, and
+    temporaries stay O(block).
+    """
+    n_groups = len(seats)
+    pieces: list[tuple[list[np.ndarray], list[np.ndarray]]] = [([], []) for _ in range(n_groups)]
+    n_items = len(group.codes)
+    # Block cuts strictly increase: a light item holds fewer than LIGHT_BLOCK_USERS users.
+    cuts = np.searchsorted(
+        np.cumsum(group.counts), np.arange(LIGHT_BLOCK_USERS, len(group), LIGHT_BLOCK_USERS)
+    )
+    bounds = [0, *cuts.tolist(), n_items] if n_items else [0]
+    labels = np.arange(n_groups, dtype=np.uint8)
+    left = seats
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        counts = group.counts[lo:hi]
+        take = left if hi == n_items else rng.multivariate_hypergeometric(left, int(counts.sum()))
+        left = left - take
+        by_label = np.argsort(rng.permutation(np.repeat(labels, take)), kind="stable")
+        items = np.repeat(np.arange(lo, hi), counts)[by_label]
+        first = np.cumsum(take) - take  # each group's first position in ``items``
+        new_run = np.ones(len(items), dtype=bool)
+        np.not_equal(items[1:], items[:-1], out=new_run[1:])
+        new_run[first[take > 0]] = True
+        starts = np.flatnonzero(new_run)
+        run_counts = np.append(starts[1:], len(items)) - starts
+        run_codes = group.codes[items[starts]]
+        edges = np.append(np.searchsorted(starts, first), len(starts)).tolist()
+        # Copies, so that split_users frees each group's pieces as it merges them.
+        for (piece_codes, piece_counts), a, b in zip(pieces, edges[:-1], edges[1:]):
+            if a < b:
+                piece_codes.append(run_codes[a:b].copy())
+                piece_counts.append(run_counts[a:b].copy())
+    return pieces
 
 
 @dataclass(frozen=True)

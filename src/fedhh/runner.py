@@ -459,7 +459,7 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     try:
         file_values = parse_config_file(args.config) if args.config else {}
         config = build_config(file_values, _overrides_from_args(args))
-    except ValueError as exc:  # a bad config is a usage error: one line, exit status 2
+    except (OSError, ValueError) as exc:  # an unreadable or bad config is a usage error
         parser.error(str(exc))
     records = run_experiment(config)
     if not config.output:

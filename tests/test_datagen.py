@@ -290,7 +290,6 @@ def test_exact_topk_hand_count():
     assert truth.codes == [PrefixCode(1, 4), PrefixCode(0, 4)]
     assert truth.topk[0][1] == pytest.approx(0.5)
     assert truth.topk[1][1] == pytest.approx(1 / 3)
-    assert truth.total_users == 6
 
 
 def test_exact_topk_identical_parties():
@@ -320,5 +319,5 @@ def test_exact_topk_validation():
 
 
 def test_ground_truth_codes_property():
-    gt = GroundTruth(topk=[(PrefixCode(3, 4), 0.5)], total_users=10)
+    gt = GroundTruth(topk=[(PrefixCode(3, 4), 0.5)])
     assert gt.codes == [PrefixCode(3, 4)]

@@ -10,8 +10,9 @@ import pytest
 from fedhh.datagen import PartySpec, exact_topk, generate_syn
 from fedhh.metrics import f1_score
 from fedhh.prefix_codec import ROOT, CandidateDomain, PrefixCode, construct_domain
-from fedhh import oracles
+from fedhh import oracles, protocol
 from fedhh.protocol import (
+    LIGHT_USERS_PER_CUT,
     PARTY_USERS_LIMIT,
     PartyState,
     ProtocolError,
@@ -23,6 +24,7 @@ from fedhh.protocol import (
     run_fedpem,
     run_pem_single,
     run_stc,
+    split_users,
 )
 from fedhh.pruning import run_tap, run_taps
 from hypergeometric import assert_hypergeometric
@@ -211,6 +213,48 @@ def test_assign_groups_counts_are_hypergeometric(mode):
     assert all(matrix.sum(axis=1).tolist() == sizes for matrix in samples[:5])
     assert np.all(samples.sum(axis=1) == party.counts)
     assert_hypergeometric(samples, party.counts, sizes)
+
+
+# Six groups: items held by at most 4 * 5 = 20 users are light.
+_SPLIT_SIZES = [30, 40, 25, 33, 35, 35]
+_SPLIT_CASES = {
+    # light items below and at the cutoff, heavy items above it
+    "mixed": ([1, 2, 5, 19, 20, 21, 40, 90], _SPLIT_SIZES),
+    "all-light": ([1, 3, 7, 20, 12], [8, 7, 7, 7, 7, 7]),
+    "all-heavy": ([21, 50, 35, 60], [30, 26, 28, 27, 25, 30]),
+    # the mixed party seated in blocks of 8, 19 and 20 light users (block size 21)
+    "mixed-blocks": ([1, 2, 5, 19, 20, 21, 40, 90], _SPLIT_SIZES),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
+def test_split_users_counts_are_hypergeometric(case, monkeypatch):
+    """Light users seated by permutation and heavy items halved still give
+    every group the multivariate hypergeometric law of a uniform split.
+
+    Bounds fixed before running: |z| <= 4.5 on every mean, variance and covariance.
+    """
+    counts, sizes = _SPLIT_CASES[case]
+    assert LIGHT_USERS_PER_CUT * (len(sizes) - 1) == 20
+    if case == "mixed-blocks":
+        monkeypatch.setattr(protocol, "LIGHT_BLOCK_USERS", 21)
+    counts = np.asarray(counts, dtype=np.int64)
+    codes = np.arange(len(counts), dtype=np.uint64) * np.uint64(7) + np.uint64(3)
+    group = UserGroup(codes, counts)
+    samples = []
+    for key in range(3000):
+        parts = split_users(group, sizes, np.random.default_rng(key))
+        assert [len(part) for part in parts] == sizes
+        matrix = np.zeros((len(sizes), len(codes)), dtype=np.int64)
+        for row, part in enumerate(parts):
+            assert part.codes.dtype == np.uint64 and part.counts.dtype == np.int64
+            assert np.all(part.codes[1:] > part.codes[:-1])
+            assert np.all(part.counts > 0)
+            matrix[row, np.searchsorted(codes, part.codes)] = part.counts
+        samples.append(matrix)
+    samples = np.stack(samples)
+    assert np.all(samples.sum(axis=1) == counts)
+    assert_hypergeometric(samples, counts, sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -496,3 +496,13 @@ def test_cli_config_error_is_a_usage_error(capsys):
     err = capsys.readouterr().err
     assert "fedhh run: error: a level can hold 20 * 2**24 candidates" in err
     assert "Traceback" not in err
+
+
+def test_cli_unreadable_config_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(missing)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"fedhh run: error: [Errno 2] No such file or directory: '{missing}'" in err
+    assert "Traceback" not in err
