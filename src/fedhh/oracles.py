@@ -9,8 +9,11 @@ caller discards after aggregation.
 
 The protocol engines use ``perturb_counts``, which draws a whole group's
 support counts from the group's true-index histogram n_x in O(d) draws
-instead of simulating n users over d cells. With p and q the support
-probabilities of Wang, Blocki, Li and Jha (USENIX Security 2017):
+instead of simulating n users over d cells. The engines pass the histogram
+itself, as domain indices with the number of users at each (``held``), so
+no per-user array is built; a per-user index array gives the same draws.
+With p and q the support probabilities of Wang, Blocki, Li and Jha (USENIX
+Security 2017):
 
 - oue: every bit of every report is independent, so
   c_x = Bin(n_x, 1/2) + Bin(n - n_x, q) exactly.
@@ -111,24 +114,38 @@ def estimate_from_counts(config: OracleConfig, counts: np.ndarray, n: int) -> np
 
 
 def perturb_counts(
-    config: OracleConfig, stream_key: int, user_index, true_index
+    config: OracleConfig, stream_key: int, user_index, true_index, held=None
 ) -> np.ndarray:
     """Draw the support counts of one report per user from the group histogram.
 
-    ``true_index`` holds each user's domain index; ``user_index`` only has to
-    match it in length. The counts depend on ``stream_key`` and the histogram
-    of ``true_index`` alone (see the module docstring for the laws).
+    ``true_index`` holds domain indices and ``held`` the number of users at
+    each entry, like ``np.bincount``'s weights (entries may repeat and are
+    summed); without ``held`` each entry is one user. ``user_index`` only has
+    to match the number of users in length. The counts depend on
+    ``stream_key`` and the users' histogram alone (see the module docstring
+    for the laws), so a histogram and its per-user expansion draw the same
+    counts, and the histogram costs O(entries + d).
     """
     d = config.domain_size
     true = np.asarray(true_index, dtype=np.int64)
-    if true.ndim != 1 or len(true) != len(user_index):
-        raise ValueError(
-            f"true_index has shape {true.shape}, user_index has length {len(user_index)}"
-        )
-    n = len(true)
-    if n and true.view(np.uint64).max() >= d:  # negatives wrap to huge unsigned values
+    if true.ndim != 1:
+        raise ValueError(f"true_index must be one-dimensional, got shape {true.shape}")
+    if len(true) and true.view(np.uint64).max() >= d:  # negatives wrap to huge unsigned values
         raise ValueError(f"true_index values must lie in [0, {d})")
-    hist = np.bincount(true, minlength=d)
+    if held is None:
+        n = len(true)
+        hist = np.bincount(true, minlength=d)
+    else:
+        held = np.asarray(held, dtype=np.int64)
+        if held.shape != true.shape:
+            raise ValueError(f"held has shape {held.shape}, true_index has shape {true.shape}")
+        if len(held) and held.min() < 0:
+            raise ValueError("held must not be negative")
+        n = int(held.sum())
+        hist = np.zeros(d, dtype=np.int64)
+        np.add.at(hist, true, held)  # entries repeat, so no fancy assignment
+    if n != len(user_index):
+        raise ValueError(f"true_index holds {n} users, user_index has length {len(user_index)}")
     rng = np.random.default_rng(derive_key(stream_key, _STREAM_COUNTS))
     if config.kind == "krr":
         kept = rng.binomial(hist, config.p - config.q)

@@ -19,11 +19,14 @@ the rest heavy. One hypergeometric draw over the group sizes seats the light
 users; heavy items are halved recursively against the remaining seats and
 light users get permuted group labels, block by block. Given which seats
 hold light users, each part is uniformly permuted over its own seats, so the
-law is exact, and a split costs O(heavy items x g + light users). The other
-per-user step is the expansion of a group into true domain indices at the
-``oracles.perturb_counts`` call. Candidate domains, rankings and selections
-are uint64 arrays of prefix bit values; :class:`PrefixCode` objects are built
-only for the uploads and the server's merged counts and top-k.
+law is exact, and a split costs O(heavy items x g + light users). Each
+group's oracle draw takes the group's distinct items, at their domain
+indices, with the number of users holding each. No step of an engine run
+therefore scales with the number of users: the only per-user labels are the
+light users', at most 4(g - 1) per light item. Candidate domains, rankings and
+selections are uint64 arrays of prefix bit values; :class:`PrefixCode`
+objects are built only for the uploads and the server's merged counts and
+top-k.
 
 Engine contract: every engine is a function of read-only parties, the
 protocol parameters and a 64-bit ``run_key``. It writes to none of its
@@ -376,10 +379,12 @@ def estimate_level(
     """One group's sanitized frequency estimate over a candidate domain.
 
     Each user of ``group`` perturbs the ``domain.level_length``-bit prefix of
-    her item (out-of-domain prefixes map to the dummy slot). The prefix
-    lookup runs once per distinct item of the group. The dummy estimate is
-    discarded and the rest are ranked by descending frequency (ascending
-    prefix value on ties).
+    their item (out-of-domain prefixes map to the dummy slot). The prefix
+    lookup runs once per distinct item of the group, and the oracle takes
+    those domain indices with the group's counts, so the step costs
+    O(distinct items + domain size) whatever the number of users. The dummy
+    estimate is discarded and the rest are ranked by descending frequency
+    (ascending prefix value on ties).
     """
     dom_bits = domain.prefixes
     if len(dom_bits) == 0:
@@ -399,8 +404,7 @@ def estimate_level(
     prefixes = group.codes >> shift
     pos = np.minimum(np.searchsorted(dom_bits, prefixes), n_real - 1)
     item_index = np.where(dom_bits[pos] == prefixes, pos, n_real)
-    true_index = np.repeat(item_index, group.counts)
-    counts = oracles.perturb_counts(config, stream_key, range(n), true_index)
+    counts = oracles.perturb_counts(config, stream_key, range(n), item_index, group.counts)
     estimates = oracles.estimate_from_counts(config, counts, n)[:n_real]
     sigma = math.sqrt(oracles.variance(config, n))
     order = np.lexsort((dom_bits, -estimates))

@@ -510,6 +510,7 @@ def _cmd_truth(args) -> int:
 def _cmd_oracle_bench(args) -> int:
     kinds = oracles.KINDS if args.oracle == "all" else (args.oracle,)
     rng = np.random.default_rng(args.seed)
+    domain = np.arange(args.domain_size)
     print(f"n={args.n} domain={args.domain_size} epsilon={args.epsilon:g} trials={args.trials}")
     print(f"{'oracle':<6} {'mean |bias|':>12} {'max |bias|':>12} {'emp var':>12} {'theory var':>12} {'ratio':>8}")
     for kind in kinds:
@@ -517,9 +518,9 @@ def _cmd_oracle_bench(args) -> int:
         true_freqs = rng.dirichlet(np.ones(args.domain_size))
         estimates = np.empty((args.trials, args.domain_size))
         for trial in range(args.trials):
-            items = rng.choice(args.domain_size, size=args.n, p=true_freqs)
+            held = rng.multinomial(args.n, true_freqs)  # n iid draws, as a histogram
             counts = oracles.perturb_counts(
-                config, derive_key(args.seed, trial), np.arange(args.n), items
+                config, derive_key(args.seed, trial), range(args.n), domain, held
             )
             estimates[trial] = oracles.estimate_from_counts(config, counts, args.n)
         bias = estimates.mean(axis=0) - true_freqs

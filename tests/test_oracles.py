@@ -338,6 +338,39 @@ def test_perturb_counts_rejects_bad_indices():
         oracles.perturb_counts(config, 1, [0, 1], [0])
 
 
+@pytest.mark.parametrize("kind", oracles.KINDS)
+def test_perturb_counts_held_matches_per_user_indices(kind):
+    """Indices with ``held`` users each draw exactly what their expansion draws."""
+    d = 12  # indices 1, 2, 4, 5, 6, 8, 9 and 10 are held by nobody
+    # Repeated entries: three items share the dummy slot 11, two share index 3.
+    idx = np.array([0, 3, 11, 7, 11, 3, 11, 7])
+    held = np.array([40, 2, 5, 9, 1, 17, 3, 0])
+    n = int(held.sum())
+    config = OracleConfig(kind, 1.5, d)
+    for trial in range(5):
+        key = derive_key(606, oracles.KINDS.index(kind), trial)
+        from_held = oracles.perturb_counts(config, key, range(n), idx, held)
+        per_user = oracles.perturb_counts(config, key, range(n), np.repeat(idx, held))
+        assert from_held.dtype == per_user.dtype
+        assert np.array_equal(from_held, per_user), trial
+
+
+def test_perturb_counts_rejects_bad_held():
+    config = OracleConfig("krr", 1.0, 4)
+    with pytest.raises(ValueError, match="shape"):
+        oracles.perturb_counts(config, 1, range(3), [0, 1], [1, 1, 1])
+    with pytest.raises(ValueError, match="shape"):
+        oracles.perturb_counts(config, 1, range(2), [0, 1], [[1], [1]])
+    with pytest.raises(ValueError, match="negative"):
+        oracles.perturb_counts(config, 1, range(1), [0, 1], [2, -1])
+    with pytest.raises(ValueError, match="users"):
+        oracles.perturb_counts(config, 1, range(3), [0, 1], [1, 1])
+    with pytest.raises(ValueError, match=r"\[0, 4\)"):
+        oracles.perturb_counts(config, 1, range(2), [0, 4], [1, 1])
+    with pytest.raises(ValueError, match=r"\[0, 4\)"):
+        oracles.perturb_counts(config, 1, range(2), [-1, 0], [1, 1])
+
+
 def test_perturb_counts_krr_sums_to_n():
     rng = np.random.default_rng(21)
     for d in (2, 5, 16, 1025):

@@ -321,9 +321,10 @@ def test_estimate_level_reports_once_per_user(monkeypatch):
     """The oracle sees one report per group user, each at its prefix's domain index."""
     seen = []
 
-    def spy(config, stream_key, user_index, true_index):
-        seen.append((len(user_index), np.bincount(true_index, minlength=config.domain_size)))
-        return real(config, stream_key, user_index, true_index)
+    def spy(config, stream_key, user_index, true_index, held=None):
+        histogram = np.bincount(true_index, weights=held, minlength=config.domain_size)
+        seen.append((len(user_index), histogram))
+        return real(config, stream_key, user_index, true_index, held)
 
     real = oracles.perturb_counts
     monkeypatch.setattr(oracles, "perturb_counts", spy)
