@@ -132,18 +132,15 @@ def perturb_counts(
         raise ValueError(f"true_index must be one-dimensional, got shape {true.shape}")
     if len(true) and true.view(np.uint64).max() >= d:  # negatives wrap to huge unsigned values
         raise ValueError(f"true_index values must lie in [0, {d})")
-    if held is None:
-        n = len(true)
-        hist = np.bincount(true, minlength=d)
-    else:
+    if held is not None:
         held = np.asarray(held, dtype=np.int64)
         if held.shape != true.shape:
             raise ValueError(f"held has shape {held.shape}, true_index has shape {true.shape}")
         if len(held) and held.min() < 0:
             raise ValueError("held must not be negative")
-        n = int(held.sum())
-        hist = np.zeros(d, dtype=np.int64)
-        np.add.at(hist, true, held)  # entries repeat, so no fancy assignment
+    # bincount sums weights in float64, exact below 2**53 users; a party holds fewer than 10**9.
+    hist = np.bincount(true, weights=held, minlength=d).astype(np.int64)
+    n = int(hist.sum())
     if n != len(user_index):
         raise ValueError(f"true_index holds {n} users, user_index has length {len(user_index)}")
     rng = np.random.default_rng(derive_key(stream_key, _STREAM_COUNTS))

@@ -1,29 +1,34 @@
 """Experiment orchestration: configs, seeded repetitions, dispatch, CSV.
 
-A config is a flat key=value text file whose keys mirror the field names
-below; CLI flags override file values. Epsilon and k accept comma lists and
-the cross product is enumerated. A config is checked when it is built, so a
-bad combination of fields raises ValueError there rather than inside a job.
-Every repetition derives its own key from the root seed and builds its
-dataset (for the synthetic recipe) and exact top-k once; each (epsilon, k)
-job of the repetition runs the chosen mechanism on it and scores its
-:class:`~fedhh.protocol.RunResult` against the truth: F1 and NCR from the
-result's top-k, average local recall from each party's upload and uploaded
-bytes from its pair totals. The root seed fully determines every output
-column except wall_time_ms.
+A config is a flat key=value text file whose keys are the fields of
+:class:`ExperimentConfig`, which declares each one's type and default; the
+``run`` flags are generated from those fields and override file values.
+Epsilon and k accept comma lists and the cross product is enumerated. A config
+is checked when it is built, so a bad combination of fields raises ValueError
+there rather than inside a job.
+
+Each repetition is one task, and up to ``threads`` of them run at once,
+sharing no state. A task derives its key from the root seed, builds its
+dataset (for the synthetic recipe) and exact top-max(k) once, and scores
+each (epsilon, k) job's :class:`~fedhh.protocol.RunResult` against the truth:
+F1 and NCR from the result's top-k, average local recall from each party's
+upload and uploaded bytes from its pair totals. The root seed fully
+determines every output column except wall_time_ms.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import math
 import sys
-import threading
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +36,6 @@ import numpy as np
 from fedhh import metrics, oracles
 from fedhh._rng import derive_key
 from fedhh.datagen import (
-    GroundTruth,
     PartySpec,
     exact_topk,
     generate_syn,
@@ -51,36 +55,28 @@ from fedhh.protocol import (
 from fedhh.pruning import run_tap, run_taps
 
 MECHANISMS = ("pem", "fedpem", "tap", "taps")
-CSV_HEADER = [
-    "run_id",
-    "mechanism",
-    "oracle",
-    "epsilon",
-    "k",
-    "f1",
-    "ncr",
-    "avg_local_recall",
-    "uploaded_bytes",
-    "wall_time_ms",
-    "seed",
-]
 
 _TAG_DATASET = 7
+
+# The fields that build a dataset, which generate and truth take as flags.
+_RECIPE_FIELDS = ("m", "pool_size", "n_groups", "dirichlet_beta", "scale", "root_seed")
 
 
 @dataclass
 class ExperimentConfig:
-    mechanism: str = "taps"
-    oracle: str = "krr"
-    epsilon: tuple[float, ...] = (4.0,)
-    k: tuple[int, ...] = (10,)
+    """One experiment; a field's metadata are argparse keywords (help, choices) for its flag."""
+
+    mechanism: str = field(default="taps", metadata={"choices": MECHANISMS})
+    oracle: str = field(default="krr", metadata={"choices": oracles.KINDS})
+    epsilon: tuple[float, ...] = field(default=(4.0,), metadata={"help": "comma list, e.g. 2,3,4"})
+    k: tuple[int, ...] = field(default=(10,), metadata={"help": "comma list, e.g. 10,20"})
     m: int = 48
     g: int = 24
     g_s: int | None = None  # None: floor(0.25 g)
     dividing_ratio: float = 0.1
     phase1_user_fraction: float = 0.10
     fixed_t: int | None = None
-    dataset: str = "syn"  # "syn" or a manifest path
+    dataset: str = field(default="syn", metadata={"help": "'syn' or a manifest path"})
     pool_size: int = 33_000
     n_groups: int = 6
     dirichlet_beta: float = 0.5
@@ -89,11 +85,13 @@ class ExperimentConfig:
     root_seed: int = 12345
     output: str | None = None
     threads: int = 1
-    ncr_quality: str = "k-rank"
+    ncr_quality: str = field(default="k-rank", metadata={"choices": ("k-rank", "k-rank+1")})
 
     def __post_init__(self):
-        if self.mechanism not in MECHANISMS:
-            raise ValueError(f"mechanism must be one of {MECHANISMS}, got {self.mechanism!r}")
+        for f in fields(self):
+            value, choices = getattr(self, f.name), f.metadata.get("choices")
+            if choices is not None and value not in choices:
+                raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
         if isinstance(self.epsilon, (int, float)):
             self.epsilon = (float(self.epsilon),)
         if isinstance(self.k, int):
@@ -108,29 +106,12 @@ class ExperimentConfig:
         if len(set(self.epsilon)) < len(self.epsilon) or len(set(self.k)) < len(self.k):
             raise ValueError(f"epsilon and k values must not repeat, got {self.epsilon} and {self.k}")
         self.protocol_params(self.epsilon[0], max(self.k))  # raises on bad protocol fields
-        if self.dirichlet_beta <= 0:
-            raise ValueError("dirichlet_beta must be positive")
-        if not 1 <= self.n_groups <= self.pool_size:
-            raise ValueError(f"need 1 <= n_groups <= pool_size, got {self.n_groups} and {self.pool_size}")
-        if self.dataset == "syn" and self.pool_size > 2**self.m:
-            raise ValueError(f"a pool of {self.pool_size} items does not fit in m={self.m} bits")
+        # pem pools every user into one party.
+        _check_recipe(self, pooled=self.mechanism == "pem")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
-        if not 0 < self.scale < math.inf:
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
-        if self.dataset == "syn":
-            # pem pools every user into one party.
-            sizes = [spec.n_users for spec in _scaled_specs(self.scale)]
-            largest = sum(sizes) if self.mechanism == "pem" else max(sizes)
-            if largest >= PARTY_USERS_LIMIT:
-                raise ValueError(
-                    f"scale {self.scale:g} gives a {self.mechanism} party of {largest} users; "
-                    "parties must hold fewer than 10**9"
-                )
-        if self.ncr_quality not in ("k-rank", "k-rank+1"):
-            raise ValueError(f"ncr_quality must be 'k-rank' or 'k-rank+1', got {self.ncr_quality!r}")
 
     @property
     def g_s_resolved(self) -> int:
@@ -150,50 +131,64 @@ class ExperimentConfig:
         )
 
 
+# Field name -> resolved type, such as tuple[float, ...] or int | None.
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def _check_recipe(recipe, pooled: bool = False) -> None:
+    """Raise ValueError unless ``recipe``'s dataset fields can build a dataset.
+
+    ``recipe`` is a config or parsed CLI arguments (see ``_syn_parties``);
+    ``pooled`` bounds the parties' total rather than the largest party.
+    """
+    if recipe.dirichlet_beta <= 0:
+        raise ValueError("dirichlet_beta must be positive")
+    if not 1 <= recipe.n_groups <= recipe.pool_size:
+        raise ValueError(f"need 1 <= n_groups <= pool_size, got {recipe.n_groups} and {recipe.pool_size}")
+    if not 0 < recipe.scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {recipe.scale}")
+    if recipe.dataset == "syn":
+        if recipe.pool_size > 2**recipe.m:
+            raise ValueError(f"a pool of {recipe.pool_size} items does not fit in m={recipe.m} bits")
+        sizes = [spec.n_users for spec in _scaled_specs(recipe.scale)]
+        largest = sum(sizes) if pooled else max(sizes)
+        if largest >= PARTY_USERS_LIMIT:
+            raise ValueError(
+                f"scale {recipe.scale:g} gives a {'pooled ' if pooled else ''}party of {largest} users; "
+                "parties must hold fewer than 10**9"
+            )
+
+
 @dataclass
 class RunRecord:
+    """One CSV row; ``fmt`` metadata formats a column, ``mean`` marks one a mean row averages."""
+
     run_id: str
     mechanism: str
     oracle: str
-    epsilon: float
+    epsilon: float = field(metadata={"fmt": "g"})
     k: int
-    f1: float
-    ncr: float
-    avg_local_recall: float
-    uploaded_bytes: float
-    wall_time_ms: float
+    f1: float = field(metadata={"fmt": ".6f", "mean": True})
+    ncr: float = field(metadata={"fmt": ".6f", "mean": True})
+    avg_local_recall: float = field(metadata={"fmt": ".6f", "mean": True})
+    uploaded_bytes: float = field(metadata={"fmt": "g", "mean": True})
+    wall_time_ms: float = field(metadata={"fmt": ".3f", "mean": True})
     seed: int
 
-    def to_row(self) -> list[str]:
-        return [
-            self.run_id,
-            self.mechanism,
-            self.oracle,
-            f"{self.epsilon:g}",
-            str(self.k),
-            f"{self.f1:.6f}",
-            f"{self.ncr:.6f}",
-            f"{self.avg_local_recall:.6f}",
-            f"{self.uploaded_bytes:g}",
-            f"{self.wall_time_ms:.3f}",
-            str(self.seed),
-        ]
+
+CSV_HEADER = [f.name for f in fields(RunRecord)]
+_MEAN_COLUMNS = [f.name for f in fields(RunRecord) if f.metadata.get("mean")]
 
 
 # ---------------------------------------------------------------------------
 # config parsing
 
-_LIST_FLOAT_KEYS = {"epsilon"}
-_LIST_INT_KEYS = {"k"}
-_INT_KEYS = {"m", "g", "g_s", "pool_size", "n_groups", "repetitions", "root_seed", "threads", "fixed_t"}
-_FLOAT_KEYS = {"dividing_ratio", "phase1_user_fraction", "dirichlet_beta", "scale"}
-_STR_KEYS = {"mechanism", "oracle", "dataset", "output", "ncr_quality"}
-_OPTIONAL_KEYS = {"g_s", "fixed_t", "output"}
 
+def _key_values(path: str):
+    """Yield (key, value, "path:line") for each key=value line of a text file.
 
-def parse_config_file(path: str) -> dict[str, str]:
-    """key=value lines; blank lines and # comments ignored."""
-    values: dict[str, str] = {}
+    Text after ``#`` is a comment, and blank lines are skipped.
+    """
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -202,39 +197,33 @@ def parse_config_file(path: str) -> dict[str, str]:
             if "=" not in stripped:
                 raise ValueError(f"{path}:{line_no}: expected key=value, got {line.rstrip()!r}")
             key, value = stripped.split("=", 1)
-            values[key.strip()] = value.strip()
-    return values
+            yield key.strip(), value.strip(), f"{path}:{line_no}"
+
+
+def parse_config_file(path: str) -> dict[str, str]:
+    """key=value lines; blank lines and # comments ignored."""
+    return {key: value for key, value, _ in _key_values(path)}
 
 
 def _coerce(key: str, raw: str):
-    if raw.lower() in ("none", "") and key in _OPTIONAL_KEYS:
-        return None
-    if key in _LIST_FLOAT_KEYS:
-        return tuple(float(part) for part in raw.split(","))
-    if key in _LIST_INT_KEYS:
-        return tuple(int(part) for part in raw.split(","))
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _STR_KEYS:
-        return raw
-    raise ValueError(f"unknown config key {key!r}")
+    """Parse one raw config value by the type of its ExperimentConfig field."""
+    if key not in _FIELD_TYPES:
+        raise ValueError(f"unknown config key {key!r}")
+    kind = _FIELD_TYPES[key]
+    if type(None) in typing.get_args(kind):  # optional: "none" or empty unsets it
+        if raw.lower() in ("none", ""):
+            return None
+        kind = typing.get_args(kind)[0]
+    if typing.get_origin(kind) is tuple:  # a comma list
+        return tuple(typing.get_args(kind)[0](part) for part in raw.split(","))
+    return kind(raw)
 
 
 def build_config(file_values: dict[str, str] | None = None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Merge file values and CLI overrides (overrides win) into a config."""
-    merged: dict[str, object] = {}
-    for source in (file_values or {}), (overrides or {}):
-        for key, raw in source.items():
-            if raw is None:
-                continue
-            merged[key] = _coerce(key, raw) if isinstance(raw, str) else raw
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(merged) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return ExperimentConfig(**merged)
+    """Merge raw file values and CLI overrides (overrides win; None is unset) into a config."""
+    merged = dict(file_values or {})
+    merged.update((key, raw) for key, raw in (overrides or {}).items() if raw is not None)
+    return ExperimentConfig(**{key: _coerce(key, raw) for key, raw in merged.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -259,23 +248,16 @@ def load_manifest(path: str, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
     base = Path(path).parent
     vocab_path: str | None = None
     party_paths: list[str] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}:{line_no}: expected key=value")
-            key, value = (part.strip() for part in stripped.split("=", 1))
-            if key == "m":
-                if int(value) != m:
-                    raise ValueError(f"manifest declares m={value} but the run uses m={m}")
-            elif key == "vocabulary":
-                vocab_path = value
-            elif key == "party":
-                party_paths.append(value)
-            else:
-                raise ValueError(f"{path}:{line_no}: unknown manifest key {key!r}")
+    for key, value, where in _key_values(path):
+        if key == "m":
+            if int(value) != m:
+                raise ValueError(f"{where}: manifest declares m={value} but the run uses m={m}")
+        elif key == "vocabulary":
+            vocab_path = value
+        elif key == "party":
+            party_paths.append(value)
+        else:
+            raise ValueError(f"{where}: unknown manifest key {key!r}")
     if vocab_path is None:
         raise ValueError(f"manifest {path} has no vocabulary line")
     if not party_paths:
@@ -293,7 +275,7 @@ def _syn_parties(recipe, repetition: int) -> list[PartyState]:
     """The synthetic recipe's parties for one repetition.
 
     ``recipe`` is an :class:`ExperimentConfig` or parsed CLI arguments: any
-    object with root_seed, scale, pool_size, n_groups, m and dirichlet_beta.
+    object with the ``_RECIPE_FIELDS``.
     """
     return generate_syn(
         _scaled_specs(recipe.scale),
@@ -322,97 +304,67 @@ def _execute(
     return run_pem_single(pooled, params, run_key)
 
 
-def _run_one(
-    config: ExperimentConfig,
-    epsilon: float,
-    k: int,
-    repetition: int,
-    parties: list[PartyState],
-    truth: GroundTruth,
-) -> RunRecord:
-    """One job; ``truth`` is the dataset's exact top-k' for some k' >= k."""
+def _run_repetition(
+    config: ExperimentConfig, manifest: list[PartyState] | None, repetition: int
+) -> list[RunRecord]:
+    """One repetition's records, one per (epsilon, k) job in config order.
+
+    The repetition's dataset and exact top-max(k) are built once, here, and
+    only its own jobs see them.
+    """
+    parties = manifest or _syn_parties(config, repetition)
+    truth = exact_topk(parties, max(config.k))
     run_key = derive_key(config.root_seed, repetition)
-    if len(truth.topk) < k:
-        raise ValueError(f"dataset holds only {len(truth.topk)} distinct items, need k={k}")
-    params = config.protocol_params(epsilon, k)
-    start = time.perf_counter()
-    result = _execute(config.mechanism, parties, params, run_key)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    truth_codes = truth.codes[:k]
-    local_lists = [[code for code, _ in entries[:k]] for _, entries in result.uploads]
-    return RunRecord(
-        run_id=f"{config.mechanism}-eps{epsilon:g}-k{k}-rep{repetition:03d}",
-        mechanism=config.mechanism,
-        oracle=config.oracle,
-        epsilon=epsilon,
-        k=k,
-        f1=metrics.f1_score(result.topk, truth_codes),
-        ncr=metrics.ncr_score(result.topk, truth_codes, k, quality=config.ncr_quality),
-        avg_local_recall=metrics.avg_local_recall(local_lists, truth_codes, k),
-        uploaded_bytes=result.uploaded_bytes,
-        wall_time_ms=wall_ms,
-        seed=run_key,
-    )
+    records = []
+    for epsilon, k in itertools.product(config.epsilon, config.k):
+        if len(truth.topk) < k:
+            raise ValueError(f"dataset holds only {len(truth.topk)} distinct items, need k={k}")
+        start = time.perf_counter()
+        result = _execute(config.mechanism, parties, config.protocol_params(epsilon, k), run_key)
+        wall_ms = (time.perf_counter() - start) * 1000.0
+        truth_codes = truth.codes[:k]
+        local_lists = [[code for code, _ in entries[:k]] for _, entries in result.uploads]
+        records.append(RunRecord(
+            run_id=f"{config.mechanism}-eps{epsilon:g}-k{k}-rep{repetition:03d}",
+            mechanism=config.mechanism,
+            oracle=config.oracle,
+            epsilon=epsilon,
+            k=k,
+            f1=metrics.f1_score(result.topk, truth_codes),
+            ncr=metrics.ncr_score(result.topk, truth_codes, k, quality=config.ncr_quality),
+            avg_local_recall=metrics.avg_local_recall(local_lists, truth_codes, k),
+            uploaded_bytes=result.uploaded_bytes,
+            wall_time_ms=wall_ms,
+            seed=run_key,
+        ))
+    return records
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     """All repetitions for every (epsilon, k) point, plus one mean row each.
 
-    Returns the per-run records followed by the mean rows; writes the CSV to
-    ``config.output`` when set.
+    Returns the per-run records, by point and then repetition, followed by
+    the mean rows; writes the CSV to ``config.output`` when set.
     """
     manifest = None if config.dataset == "syn" else _manifest_parties(config.dataset, config.m)
-    points = [(eps, k) for eps in config.epsilon for k in config.k]
-    # A repetition's jobs are queued together, and the first of them to run
-    # builds its dataset and exact top-max(k) on its own thread.
-    jobs = [(rep, eps, k) for rep in range(config.repetitions) for eps, k in points]
-    datasets: dict[int, tuple[list[PartyState], GroundTruth]] = {}
-    locks = [threading.Lock() for _ in range(config.repetitions)]
-
-    def one(job):
-        rep, eps, k = job
-        with locks[rep]:
-            if rep not in datasets:
-                parties = manifest or _syn_parties(config, rep)
-                datasets[rep] = parties, exact_topk(parties, max(config.k))
-            parties, truth = datasets[rep]
-        return _run_one(config, eps, k, rep, parties, truth)
-
-    if config.threads == 1:
-        results = [one(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(one, jobs))
-    by_job = dict(zip(jobs, results))
-    records = [by_job[(rep, eps, k)] for eps, k in points for rep in range(config.repetitions)]
-
-    mean_rows = []
-    for eps, k in points:
-        group = [r for r in records if r.epsilon == eps and r.k == k]
-        mean_rows.append(
-            RunRecord(
-                run_id=f"{config.mechanism}-eps{eps:g}-k{k}-mean",
-                mechanism=config.mechanism,
-                oracle=config.oracle,
-                epsilon=eps,
-                k=k,
-                f1=float(np.mean([r.f1 for r in group])),
-                ncr=float(np.mean([r.ncr for r in group])),
-                avg_local_recall=float(np.mean([r.avg_local_recall for r in group])),
-                uploaded_bytes=float(np.mean([r.uploaded_bytes for r in group])),
-                wall_time_ms=float(np.mean([r.wall_time_ms for r in group])),
-                seed=config.root_seed,
-            )
-        )
-    records = records + mean_rows
+    task = functools.partial(_run_repetition, config, manifest)
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        # threads=1 runs in the calling thread: a worker's own malloc arena adds ~10% peak RSS.
+        run_all = map if config.threads == 1 else pool.map
+        by_repetition = list(run_all(task, range(config.repetitions)))
+    by_point = list(zip(*by_repetition))  # each point's records, in repetition order
+    records = [record for runs in by_point for record in runs]
+    for runs in by_point:
+        means = {name: float(np.mean([getattr(r, name) for r in runs])) for name in _MEAN_COLUMNS}
+        run_id = f"{config.mechanism}-eps{runs[0].epsilon:g}-k{runs[0].k}-mean"
+        records.append(replace(runs[0], run_id=run_id, seed=config.root_seed, **means))
     if config.output:
         write_csv(records, config.output)
     return records
 
 
 def write_csv(records: list[RunRecord], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(records_to_csv(records))
+    Path(path).write_text(records_to_csv(records), encoding="utf-8", newline="")
 
 
 def records_to_csv(records: list[RunRecord]) -> str:
@@ -420,45 +372,29 @@ def records_to_csv(records: list[RunRecord]) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for record in records:
-        writer.writerow(record.to_row())
+        writer.writerow(format(getattr(record, f.name), f.metadata.get("fmt", "")) for f in fields(record))
     return buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # CLI
 
-def _add_override_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mechanism", choices=MECHANISMS)
-    parser.add_argument("--oracle", choices=oracles.KINDS)
-    parser.add_argument("--epsilon", help="comma list, e.g. 2,3,4")
-    parser.add_argument("--k", help="comma list, e.g. 10,20")
-    parser.add_argument("--m")
-    parser.add_argument("--g")
-    parser.add_argument("--g-s", dest="g_s")
-    parser.add_argument("--dividing-ratio", dest="dividing_ratio")
-    parser.add_argument("--phase1-user-fraction", dest="phase1_user_fraction")
-    parser.add_argument("--fixed-t", dest="fixed_t")
-    parser.add_argument("--dataset")
-    parser.add_argument("--pool-size", dest="pool_size")
-    parser.add_argument("--n-groups", dest="n_groups")
-    parser.add_argument("--dirichlet-beta", dest="dirichlet_beta")
-    parser.add_argument("--scale")
-    parser.add_argument("--repetitions")
-    parser.add_argument("--root-seed", dest="root_seed")
-    parser.add_argument("--output")
-    parser.add_argument("--threads")
-    parser.add_argument("--ncr-quality", dest="ncr_quality")
+def _add_field_flags(parser: argparse.ArgumentParser, names: tuple[str, ...] | None = None, typed: bool = False) -> None:
+    """Add a --flag for each ExperimentConfig field (or each in ``names``).
 
-
-def _overrides_from_args(args: argparse.Namespace) -> dict[str, str]:
-    keys = _LIST_FLOAT_KEYS | _LIST_INT_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-    return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
+    Untyped flags keep the raw string, for ``build_config`` to merge over a
+    config file; typed flags parse to the field's type and default.
+    """
+    for f in fields(ExperimentConfig):
+        if names is None or f.name in names:
+            typing_kw = {"type": _FIELD_TYPES[f.name], "default": f.default} if typed else {}
+            parser.add_argument("--" + f.name.replace("_", "-"), **f.metadata, **typing_kw)
 
 
 def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     try:
         file_values = parse_config_file(args.config) if args.config else {}
-        config = build_config(file_values, _overrides_from_args(args))
+        config = build_config(file_values, {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
     except (OSError, ValueError) as exc:  # an unreadable or bad config is a usage error
         parser.error(str(exc))
     records = run_experiment(config)
@@ -475,10 +411,14 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args, parser: argparse.ArgumentParser) -> int:
+    try:
+        _check_recipe(args)
+        parties = _syn_parties(args, 0)
+    except ValueError as exc:
+        parser.error(str(exc))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    parties = _syn_parties(args, 0)
     width = len(str(args.pool_size - 1))
     with open(out / "vocabulary.txt", "w", encoding="utf-8") as handle:
         for item in range(args.pool_size):
@@ -496,25 +436,36 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_truth(args) -> int:
-    if args.dataset == "syn":
-        parties = _syn_parties(args, args.repetition)
-    else:
-        parties = _manifest_parties(args.dataset, args.m)
-    truth = exact_topk(parties, args.k)
+def _cmd_truth(args, parser: argparse.ArgumentParser) -> int:
+    # Each step checks or reads the command's input, so any failure is a usage error.
+    try:
+        _check_recipe(args)
+        if args.dataset == "syn":
+            parties = _syn_parties(args, args.repetition)
+        else:
+            parties = _manifest_parties(args.dataset, args.m)
+        truth = exact_topk(parties, args.k)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
     for rank, (code, freq) in enumerate(truth.topk, start=1):
         print(f"{rank:3d} {code} {freq:.6f}")
     return 0
 
 
-def _cmd_oracle_bench(args) -> int:
+def _cmd_oracle_bench(args, parser: argparse.ArgumentParser) -> int:
     kinds = oracles.KINDS if args.oracle == "all" else (args.oracle,)
+    try:
+        if args.trials < 2:  # the empirical variance takes ddof=1
+            raise ValueError(f"trials must be at least 2, got {args.trials}")
+        configs = [oracles.OracleConfig(kind, args.epsilon, args.domain_size) for kind in kinds]
+        theory = [oracles.variance(config, args.n) for config in configs]
+    except ValueError as exc:
+        parser.error(str(exc))
     rng = np.random.default_rng(args.seed)
     domain = np.arange(args.domain_size)
     print(f"n={args.n} domain={args.domain_size} epsilon={args.epsilon:g} trials={args.trials}")
     print(f"{'oracle':<6} {'mean |bias|':>12} {'max |bias|':>12} {'emp var':>12} {'theory var':>12} {'ratio':>8}")
-    for kind in kinds:
-        config = oracles.OracleConfig(kind, args.epsilon, args.domain_size)
+    for config, theory_var in zip(configs, theory):
         true_freqs = rng.dirichlet(np.ones(args.domain_size))
         estimates = np.empty((args.trials, args.domain_size))
         for trial in range(args.trials):
@@ -525,10 +476,9 @@ def _cmd_oracle_bench(args) -> int:
             estimates[trial] = oracles.estimate_from_counts(config, counts, args.n)
         bias = estimates.mean(axis=0) - true_freqs
         emp_var = float(estimates.var(axis=0, ddof=1).mean())
-        theory = oracles.variance(config, args.n)
         print(
-            f"{kind:<6} {np.abs(bias).mean():12.3e} {np.abs(bias).max():12.3e} "
-            f"{emp_var:12.3e} {theory:12.3e} {emp_var / theory:8.3f}"
+            f"{config.kind:<6} {np.abs(bias).mean():12.3e} {np.abs(bias).max():12.3e} "
+            f"{emp_var:12.3e} {theory_var:12.3e} {emp_var / theory_var:8.3f}"
         )
     return 0
 
@@ -542,29 +492,18 @@ def main(argv=None) -> int:
 
     run_parser = sub.add_parser("run", help="execute an experiment config")
     run_parser.add_argument("--config", help="key=value config file")
-    _add_override_args(run_parser)
-    run_parser.set_defaults(func=lambda args: _cmd_run(args, run_parser))
+    _add_field_flags(run_parser)
+    run_parser.set_defaults(func=_cmd_run)
 
     gen_parser = sub.add_parser("generate", help="emit a synthetic dataset plus manifest")
     gen_parser.add_argument("--out", required=True)
-    gen_parser.add_argument("--root-seed", dest="root_seed", type=int, default=12345)
-    gen_parser.add_argument("--pool-size", dest="pool_size", type=int, default=33_000)
-    gen_parser.add_argument("--n-groups", dest="n_groups", type=int, default=6)
-    gen_parser.add_argument("--dirichlet-beta", dest="dirichlet_beta", type=float, default=0.5)
-    gen_parser.add_argument("--scale", type=float, default=1.0)
-    gen_parser.add_argument("--m", type=int, default=48)
-    gen_parser.set_defaults(func=_cmd_generate)
+    _add_field_flags(gen_parser, _RECIPE_FIELDS, typed=True)
+    gen_parser.set_defaults(func=_cmd_generate, dataset="syn")  # _check_recipe reads dataset
 
     truth_parser = sub.add_parser("truth", help="print the exact population top-k")
-    truth_parser.add_argument("--dataset", default="syn", help="'syn' or a manifest path")
+    _add_field_flags(truth_parser, _RECIPE_FIELDS + ("dataset",), typed=True)
     truth_parser.add_argument("--k", type=int, default=10)
-    truth_parser.add_argument("--m", type=int, default=48)
-    truth_parser.add_argument("--root-seed", dest="root_seed", type=int, default=12345)
     truth_parser.add_argument("--repetition", type=int, default=0)
-    truth_parser.add_argument("--pool-size", dest="pool_size", type=int, default=33_000)
-    truth_parser.add_argument("--n-groups", dest="n_groups", type=int, default=6)
-    truth_parser.add_argument("--dirichlet-beta", dest="dirichlet_beta", type=float, default=0.5)
-    truth_parser.add_argument("--scale", type=float, default=1.0)
     truth_parser.set_defaults(func=_cmd_truth)
 
     bench_parser = sub.add_parser("oracle-bench", help="oracle bias and variance report")
@@ -577,7 +516,7 @@ def main(argv=None) -> int:
     bench_parser.set_defaults(func=_cmd_oracle_bench)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    return args.func(args, sub.choices[args.command])  # usage errors name the subcommand
 
 
 if __name__ == "__main__":

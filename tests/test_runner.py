@@ -1,6 +1,8 @@
 """Experiment configuration, execution records, cost accounting, CLI."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
+
+import re
 
 import numpy as np
 import pytest
@@ -238,8 +240,9 @@ def test_run_experiment_is_reproducible_modulo_wall_time():
 
 def test_run_experiment_thread_count_does_not_change_results():
     serial = records_to_csv(run_experiment(_small_config(repetitions=3, threads=1)))
-    threaded = records_to_csv(run_experiment(_small_config(repetitions=3, threads=2)))
-    assert _strip_wall_time(serial) == _strip_wall_time(threaded)
+    for threads in (2, 5):  # 5: more threads than repetitions
+        threaded = records_to_csv(run_experiment(_small_config(repetitions=3, threads=threads)))
+        assert _strip_wall_time(serial) == _strip_wall_time(threaded)
 
 
 def test_run_experiment_builds_each_dataset_once(monkeypatch):
@@ -506,3 +509,76 @@ def test_cli_unreadable_config_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"fedhh run: error: [Errno 2] No such file or directory: '{missing}'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["truth", "--m", "8"],  # the default pool does not fit in 8 bits
+        ["truth", "--n-groups", "0"],
+        ["truth", "--k", "0"],
+        ["truth", "--dirichlet-beta", "0"],
+        ["truth", "--scale", "0"],
+        ["truth", "--dataset", "/nonexistent/manifest.txt"],
+        ["generate", "--out", "unused", "--pool-size", "3"],  # fewer items than groups
+        ["generate", "--out", "unused", "--m", "100", "--scale", "0.01"],  # codes hold at most 64 bits
+        ["oracle-bench", "--domain-size", "1"],
+        ["oracle-bench", "--epsilon", "0"],
+        ["oracle-bench", "--trials", "1"],  # the empirical variance needs two
+    ],
+)
+def test_cli_bad_input_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"fedhh {argv[0]}: error: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "unused").exists()
+
+
+# One valid value per ExperimentConfig field, none of them its default.
+_EVERY_FIELD = {
+    "mechanism": "tap",
+    "oracle": "oue",
+    "epsilon": "2,3",
+    "k": "5,8",
+    "m": "40",
+    "g": "20",
+    "g_s": "4",
+    "dividing_ratio": "0.2",
+    "phase1_user_fraction": "0.2",
+    "fixed_t": "12",
+    "dataset": "data/manifest.txt",
+    "pool_size": "1000",
+    "n_groups": "4",
+    "dirichlet_beta": "0.7",
+    "scale": "0.5",
+    "repetitions": "3",
+    "root_seed": "7",
+    "output": "out.csv",
+    "threads": "2",
+    "ncr_quality": "k-rank+1",
+}
+
+
+def test_cli_flags_and_config_file_give_the_same_config(tmp_path, monkeypatch, capsys):
+    assert set(_EVERY_FIELD) == {f.name for f in fields(ExperimentConfig)}
+    configs = []
+    monkeypatch.setattr(runner, "run_experiment", lambda config: configs.append(config) or [])
+    cfg = tmp_path / "every.cfg"
+    cfg.write_text("".join(f"{key}={value}\n" for key, value in _EVERY_FIELD.items()), encoding="utf-8")
+    assert main(["run", "--config", str(cfg)]) == 0
+    flags = [part for key, value in _EVERY_FIELD.items() for part in (f"--{key.replace('_', '-')}", value)]
+    assert main(["run", *flags]) == 0
+    from_file, from_flags = configs
+    assert from_file == from_flags
+    for f in fields(ExperimentConfig):
+        assert getattr(from_file, f.name) != f.default, f.name
+
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+    assert listed == {"--help", "--config"} | {f"--{f.name.replace('_', '-')}" for f in fields(ExperimentConfig)}
