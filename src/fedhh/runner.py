@@ -161,23 +161,24 @@ def _check_recipe(recipe, pooled: bool = False) -> None:
 
 @dataclass
 class RunRecord:
-    """One CSV row; ``fmt`` metadata formats a column, ``mean`` marks one a mean row averages."""
+    """One CSV row; a field's ``fmt`` metadata formats its column."""
 
     run_id: str
     mechanism: str
     oracle: str
     epsilon: float = field(metadata={"fmt": "g"})
     k: int
-    f1: float = field(metadata={"fmt": ".6f", "mean": True})
-    ncr: float = field(metadata={"fmt": ".6f", "mean": True})
-    avg_local_recall: float = field(metadata={"fmt": ".6f", "mean": True})
-    uploaded_bytes: float = field(metadata={"fmt": "g", "mean": True})
-    wall_time_ms: float = field(metadata={"fmt": ".3f", "mean": True})
+    f1: float = field(metadata={"fmt": ".6f"})
+    ncr: float = field(metadata={"fmt": ".6f"})
+    avg_local_recall: float = field(metadata={"fmt": ".6f"})
+    uploaded_bytes: float = field(metadata={"fmt": "g"})
+    wall_time_ms: float = field(metadata={"fmt": ".3f"})
     seed: int
 
 
 CSV_HEADER = [f.name for f in fields(RunRecord)]
-_MEAN_COLUMNS = [f.name for f in fields(RunRecord) if f.metadata.get("mean")]
+# A mean row averages every column except those that name a run and its (epsilon, k) point.
+_MEAN_COLUMNS = [name for name in CSV_HEADER if name not in ("run_id", "mechanism", "oracle", "epsilon", "k", "seed")]
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +350,7 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     manifest = None if config.dataset == "syn" else _manifest_parties(config.dataset, config.m)
     task = functools.partial(_run_repetition, config, manifest)
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        # threads=1 runs in the calling thread: a worker's own malloc arena adds ~10% peak RSS.
+        # threads=1 runs in the calling thread, where no pool thread's malloc arena adds 5-11% peak RSS.
         run_all = map if config.threads == 1 else pool.map
         by_repetition = list(run_all(task, range(config.repetitions)))
     by_point = list(zip(*by_repetition))  # each point's records, in repetition order

@@ -230,6 +230,13 @@ def test_run_experiment_emits_runs_and_mean_rows():
         np.mean([r.uploaded_bytes for r in records[:2]]), abs=1e-9
     )
     assert records[-1].seed == 99
+    # Every column but those naming the run and its point is averaged.
+    for f in fields(records[-1]):
+        values = [getattr(r, f.name) for r in records[:2]]
+        if f.name in ("mechanism", "oracle", "epsilon", "k"):
+            assert getattr(records[-1], f.name) == values[0]
+        elif f.name not in ("run_id", "seed"):
+            assert getattr(records[-1], f.name) == pytest.approx(np.mean(values), abs=1e-9), f.name
 
 
 def test_run_experiment_is_reproducible_modulo_wall_time():
