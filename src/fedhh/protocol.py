@@ -2,11 +2,11 @@
 
 Covers user grouping, the per-level estimate step, the level walk that every
 engine runs (build the level's domain, optionally prune it, estimate,
-extend), phase I shared shallow trie construction, the single-party
-fixed-extension baseline and its federated variant, plus the server-side
-merge. The two-phase adaptive mechanisms are in :mod:`fedhh.pruning`:
-``run_taps`` walks phase II with consensus pruning, and ``run_tap`` is
-``run_taps`` without the package exchange.
+extend) and the walk-and-merge that phase I (:func:`run_stc`) and the
+federated baseline (:func:`run_fedpem`) share; the single-party baseline is
+``run_fedpem`` on one party. The two-phase adaptive mechanisms are in
+:mod:`fedhh.pruning`: ``run_taps`` walks phase II with consensus pruning,
+and ``run_tap`` is ``run_taps`` without the package exchange.
 
 Data contract: a party, a level group and a validation slice are all
 histograms, sorted distinct m-bit item codes with the number of users holding
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -467,13 +467,6 @@ def _level_walk(
         yield h, ranked, t
 
 
-def _upload(party: PartyState, walk) -> tuple[int, list[tuple[PrefixCode, float]]]:
-    """Run a party's level walk to its end; the upload is the last selection."""
-    for _, ranked, t in walk:
-        pass
-    return party.party_id, _positive_entries(party, ranked, t)
-
-
 def _merge_reports(
     reports: list[tuple[int, list[tuple[PrefixCode, float]]]],
     k: int,
@@ -501,52 +494,49 @@ def _merge_reports(
     )
 
 
+def _walk_and_merge(
+    parties: list[PartyState],
+    params: ProtocolParams,
+    run_key: int,
+    levels: range,
+    groups_of: Callable[[PartyState], LevelGroups],
+) -> RunResult:
+    """Walk each party through ``levels`` and merge the uploads, each party's
+    last selection with positive counts. A party's groups, ``groups_of(party)``,
+    are taken just before its walk, so one party's groups are alive at a time."""
+    if not parties:
+        raise ProtocolError("need at least one party")
+    reports = []
+    for party in parties:
+        for _, ranked, t in _level_walk(party, groups_of(party), params, run_key, levels):
+            pass
+        reports.append((party.party_id, _positive_entries(party, ranked, t)))
+    return _merge_reports(reports, params.k)
+
+
 def run_stc(
     parties: list[PartyState],
     params: ProtocolParams,
     run_key: int,
     groups: dict[int, LevelGroups],
 ) -> RunResult:
-    """Phase I: build the shared shallow trie; its top-k is the shared prefixes.
-
-    Every party walks levels 1..g_s on its phase-I user groups (``groups``,
-    keyed by party id), reports its level-g_s selection (positive counts
-    only, scaled by its population), and the server merges the counts and
-    broadcasts the top-k prefixes. When no party reports a positive count the
-    shared trie is empty.
-    """
-    if not parties:
-        raise ProtocolError("need at least one party")
+    """Phase I: each party walks levels 1..g_s on ``groups[party.party_id]``;
+    the merged top-k is the shared shallow trie (empty if no count is positive)."""
     levels = range(1, params.g_s + 1)
-    reports = [
-        _upload(party, _level_walk(party, groups[party.party_id], params, run_key, levels))
-        for party in parties
-    ]
-    return _merge_reports(reports, params.k)
-
-
-def _pem_upload(
-    party: PartyState, params: ProtocolParams, run_key: int
-) -> tuple[int, list[tuple[PrefixCode, float]]]:
-    """One party's PEM walk: fixed extension ``t = k`` over all g levels."""
-    pem_params = replace(
-        params, fixed_t=params.fixed_t if params.fixed_t is not None else params.k
-    )
-    groups = assign_groups(party, pem_params, run_key, "pem")
-    return _upload(party, _level_walk(party, groups, pem_params, run_key, range(1, params.g + 1)))
+    return _walk_and_merge(parties, params, run_key, levels, lambda party: groups[party.party_id])
 
 
 def run_pem_single(party: PartyState, params: ProtocolParams, run_key: int) -> RunResult:
-    """Single-party baseline: fixed extension ``t = k``, no shared trie.
-
-    Users are split evenly across all g levels; the party's upload is the
-    final-level selection with positive counts, and its top-k is the result.
-    """
-    return _merge_reports([_pem_upload(party, params, run_key)], params.k)
+    """Single-party baseline: :func:`run_fedpem` on one party."""
+    return run_fedpem([party], params, run_key)
 
 
 def run_fedpem(parties: list[PartyState], params: ProtocolParams, run_key: int) -> RunResult:
-    """Federated baseline: merge every party's independent local top list."""
-    if not parties:
-        raise ProtocolError("need at least one party")
-    return _merge_reports([_pem_upload(party, params, run_key) for party in parties], params.k)
+    """Federated baseline: each party splits its users evenly across all g
+    levels, walks them with fixed extension ``t = k`` and no shared trie, and
+    the server merges the final-level uploads."""
+    pem_params = replace(params, fixed_t=params.fixed_t if params.fixed_t is not None else params.k)
+    return _walk_and_merge(
+        parties, pem_params, run_key, range(1, params.g + 1),
+        lambda party: assign_groups(party, pem_params, run_key, "pem"),
+    )

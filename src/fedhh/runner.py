@@ -7,13 +7,14 @@ Epsilon and k accept comma lists and the cross product is enumerated. A config
 is checked when it is built, so a bad combination of fields raises ValueError
 there rather than inside a job.
 
-Each repetition is one task, and up to ``threads`` of them run at once,
-sharing no state. A task derives its key from the root seed, builds its
-dataset (for the synthetic recipe) and exact top-max(k) once, and scores
-each (epsilon, k) job's :class:`~fedhh.protocol.RunResult` against the truth:
-F1 and NCR from the result's top-k, average local recall from each party's
-upload and uploaded bytes from its pair totals. The root seed fully
-determines every output column except wall_time_ms.
+Each repetition is one task, and tasks share no state. A sweep maps its
+tasks in the calling thread when ``min(threads, repetitions)`` is 1 and on a
+pool of that many threads otherwise. A task derives its key from the root
+seed, builds its dataset (for the synthetic recipe) and exact top-max(k)
+once, and scores each (epsilon, k) job's :class:`~fedhh.protocol.RunResult`
+against the truth: F1 and NCR from the result's top-k, average local recall
+from each party's upload and uploaded bytes from its pair totals. The root
+seed fully determines every output column except wall_time_ms.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ class ExperimentConfig:
     repetitions: int = 50
     root_seed: int = 12345
     output: str | None = None
-    threads: int = 1
+    threads: int = field(default=1, metadata={"help": "repetitions run at once on a thread pool; "
+                                              "min(threads, repetitions) = 1 runs in the calling thread"})
     ncr_quality: str = field(default="k-rank", metadata={"choices": ("k-rank", "k-rank+1")})
 
     def __post_init__(self):
@@ -215,9 +217,12 @@ def _coerce(key: str, raw: str):
         if raw.lower() in ("none", ""):
             return None
         kind = typing.get_args(kind)[0]
-    if typing.get_origin(kind) is tuple:  # a comma list
-        return tuple(typing.get_args(kind)[0](part) for part in raw.split(","))
-    return kind(raw)
+    try:
+        if typing.get_origin(kind) is tuple:  # a comma list
+            return tuple(typing.get_args(kind)[0](part) for part in raw.split(","))
+        return kind(raw)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def build_config(file_values: dict[str, str] | None = None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
@@ -251,7 +256,11 @@ def load_manifest(path: str, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
     party_paths: list[str] = []
     for key, value, where in _key_values(path):
         if key == "m":
-            if int(value) != m:
+            try:
+                declared = int(value)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if declared != m:
                 raise ValueError(f"{where}: manifest declares m={value} but the run uses m={m}")
         elif key == "vocabulary":
             vocab_path = value
@@ -349,10 +358,13 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     """
     manifest = None if config.dataset == "syn" else _manifest_parties(config.dataset, config.m)
     task = functools.partial(_run_repetition, config, manifest)
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        # threads=1 runs in the calling thread, where no pool thread's malloc arena adds 5-11% peak RSS.
-        run_all = map if config.threads == 1 else pool.map
-        by_repetition = list(run_all(task, range(config.repetitions)))
+    workers = min(config.threads, config.repetitions)
+    if workers == 1:
+        # A pool thread would add only its start-up and its malloc arena (5-11% peak RSS).
+        by_repetition = list(map(task, range(config.repetitions)))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            by_repetition = list(pool.map(task, range(config.repetitions)))
     by_point = list(zip(*by_repetition))  # each point's records, in repetition order
     records = [record for runs in by_point for record in runs]
     for runs in by_point:

@@ -9,7 +9,6 @@ reference quality bands print the measured values when they fail.
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -237,8 +236,7 @@ def _syn_rep(rep):
 @pytest.fixture(scope="module")
 def syn_runs():
     start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        per_rep = list(pool.map(_syn_rep, range(N_REPS)))
+    per_rep = [_syn_rep(rep) for rep in range(N_REPS)]
     elapsed = time.perf_counter() - start
     results = {}
     for key in per_rep[0]:

@@ -252,6 +252,16 @@ def test_run_experiment_thread_count_does_not_change_results():
         assert _strip_wall_time(serial) == _strip_wall_time(threaded)
 
 
+def test_run_experiment_runs_one_repetition_in_the_calling_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-repetition sweep built a thread pool")
+
+    expected = _strip_wall_time(records_to_csv(run_experiment(_small_config(repetitions=1))))
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", no_pool)
+    records = run_experiment(_small_config(repetitions=1, threads=4))
+    assert _strip_wall_time(records_to_csv(records)) == expected
+
+
 def test_run_experiment_builds_each_dataset_once(monkeypatch):
     built, truths = [], []
     real_generate, real_truth = runner.generate_syn, runner.exact_topk
@@ -390,7 +400,7 @@ def _taps_parties():
     return generate_syn(specs, 600, 3, np.random.default_rng(4), m=16)
 
 
-def test_account_costs_reports_package_cap():
+def test_taps_package_bytes_stay_under_the_cap():
     # Packages cost at most active levels x parties x 4k pairs, 16 bytes each.
     params = ProtocolParams(m=16, g=8, g_s=2, k=2, epsilon=4.0)
     parties = _taps_parties()
@@ -399,7 +409,7 @@ def test_account_costs_reports_package_cap():
     assert 0 < result.package_pairs * 16 <= cap
 
 
-def test_account_costs_zero_ratio_has_zero_cap():
+def test_taps_with_zero_dividing_ratio_is_tap():
     # No validation budget, no packages: taps costs exactly what tap costs.
     params = ProtocolParams(m=16, g=8, g_s=2, k=2, epsilon=4.0, dividing_ratio=0.0)
     pruned = run_taps(_taps_parties(), params, run_key=3)
@@ -411,7 +421,7 @@ def test_account_costs_zero_ratio_has_zero_cap():
     assert run_tap(_taps_parties(), replace(params, dividing_ratio=0.3), run_key=3) == plain
 
 
-def test_account_costs_without_params_is_totals_only():
+def test_uploaded_bytes_count_phase_one_and_package_pairs():
     result = run_taps(_taps_parties(), ProtocolParams(m=16, g=8, g_s=2, k=2, epsilon=4.0), run_key=3)
     final_pairs = sum(len(entries) for _, entries in result.uploads)
     assert result.report_pairs > final_pairs  # phase I reports count too
@@ -518,29 +528,38 @@ def test_cli_unreadable_config_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["truth", "--m", "8"],  # the default pool does not fit in 8 bits
-        ["truth", "--n-groups", "0"],
-        ["truth", "--k", "0"],
-        ["truth", "--dirichlet-beta", "0"],
-        ["truth", "--scale", "0"],
-        ["truth", "--dataset", "/nonexistent/manifest.txt"],
-        ["generate", "--out", "unused", "--pool-size", "3"],  # fewer items than groups
-        ["generate", "--out", "unused", "--m", "100", "--scale", "0.01"],  # codes hold at most 64 bits
-        ["oracle-bench", "--domain-size", "1"],
-        ["oracle-bench", "--epsilon", "0"],
-        ["oracle-bench", "--trials", "1"],  # the empirical variance needs two
-    ],
-)
-def test_cli_bad_input_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+# (argv, how the error line starts after "fedhh <command>: error: ")
+_BAD_INPUT = [
+    (["truth", "--m", "8"], "a pool of 33000 items does not fit in m=8 bits"),
+    (["truth", "--n-groups", "0"], "need 1 <= n_groups <= pool_size"),
+    (["truth", "--k", "0"], "k must be positive"),
+    (["truth", "--dirichlet-beta", "0"], "dirichlet_beta must be positive"),
+    (["truth", "--scale", "0"], "scale must be positive and finite"),
+    (["truth", "--dataset", "/nonexistent/manifest.txt"], "[Errno 2] No such file or directory"),
+    # fewer items than groups
+    (["generate", "--out", "unused", "--pool-size", "3"], "need 1 <= n_groups <= pool_size"),
+    # codes hold at most 64 bits
+    (["generate", "--out", "unused", "--m", "100", "--scale", "0.01"], "item_length must be in [1, 64]"),
+    (["oracle-bench", "--domain-size", "1"], "domain size must be at least 2"),
+    (["oracle-bench", "--epsilon", "0"], "epsilon must lie in"),
+    (["oracle-bench", "--trials", "1"], "trials must be at least 2"),  # the empirical variance needs two
+    # A malformed number names its setting: the key, or the manifest's file line.
+    (["run", "--repetitions", "abc"], "repetitions: invalid literal for int() with base 10: 'abc'"),
+    (["run", "--config", "bad.cfg"], "k: invalid literal for int() with base 10: '1O'"),
+    (["truth", "--dataset", "bad_manifest.txt"], "bad_manifest.txt:1: invalid literal for int() with base 10: '4x'"),
+]
+
+
+@pytest.mark.parametrize("argv, text", _BAD_INPUT, ids=[f"argv{i}" for i in range(len(_BAD_INPUT))])
+def test_cli_bad_input_is_a_usage_error(argv, text, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text("k=1O\n", encoding="utf-8")
+    (tmp_path / "bad_manifest.txt").write_text("m=4x\n", encoding="utf-8")
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"fedhh {argv[0]}: error: " in err
+    assert f"fedhh {argv[0]}: error: {text}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "unused").exists()
 
