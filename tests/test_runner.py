@@ -2,6 +2,7 @@
 
 from dataclasses import fields, replace
 
+import hashlib
 import re
 
 import numpy as np
@@ -298,6 +299,30 @@ def test_run_experiment_sweeps_epsilon_k_grid():
     assert len(run_rows) == 4
     assert len(mean_rows) == 4
     assert {(r.epsilon, r.k) for r in run_rows} == {(2.0, 5), (2.0, 10), (4.0, 5), (4.0, 10)}
+
+
+# sha256 of one mechanism's CSV rows without wall_time_ms, over krr, oue and
+# olh at eps 2,4, k 5, scale 0.01 and 2 repetitions. A change meant to keep
+# every output leaves these as they are; a change that alters a mechanism's
+# outputs on purpose updates its digest and says why.
+_OUTPUT_DIGESTS = {
+    "pem": "055386254a82af547348d2c1680f9f4321fe3c01c343b1ea291782090e50088c",
+    "fedpem": "3401f62771a84f74bcfc6aaab662959bfeabc5d127d1bb877e8f633dc8dd993e",
+    "tap": "553ed6e139412283ffd0690a228602e31296111b56bc2428bcd47fd6b4033748",
+    "taps": "d58cb5dada57b878a97aac10c8629bd3eda8e0f4666a4cec9d5a69d3adde4c5e",
+}
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_run_experiment_outputs_match_recorded_digests(mechanism):
+    digest = hashlib.sha256()
+    for oracle in oracles.KINDS:
+        config = ExperimentConfig(
+            mechanism=mechanism, oracle=oracle, epsilon=(2.0, 4.0), k=(5,), scale=0.01, repetitions=2
+        )
+        for row in _strip_wall_time(records_to_csv(run_experiment(config))):
+            digest.update((",".join(row) + "\n").encode())
+    assert digest.hexdigest() == _OUTPUT_DIGESTS[mechanism]
 
 
 def test_pem_equals_fedpem_on_a_single_party(tmp_path):
