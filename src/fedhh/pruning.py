@@ -7,13 +7,13 @@ travels and no level is pruned.
 
 During phase II, parties run in descending population order. At a fixed set
 of active levels each party packages the extremes of its ranked level table
-(its 2k most and 2k least frequent candidates) for the next party, which
-spends a small validation slice of its level group to re-estimate those
-prefixes locally. Two agreement tests follow: one on the infrequent list
-(prefixes both parties rank near the bottom) and one on frequent prefixes
-whose local support collapsed (a contrast ranking). Prefixes that pass
-consensus are pruned from the candidate domain before the main estimate, so
-the per-user signal concentrates on fewer candidates.
+(its 2k most and 2k least frequent candidates) for the next party. The
+receiver runs one agreement test per package side, each on its own small
+validation slice: it re-estimates that side's prefixes and ranks them most
+prunable first, against the sender's ascending list (infrequent side) or a
+contrast ranking of collapsed local support (frequent side). Prefixes that
+pass consensus are pruned from the candidate domain before the main estimate,
+so the per-user signal concentrates on fewer candidates.
 
 The consensus size k' maximizes |agreement| / (k' (1+eps)^k') - gamma a^2
 with a = (k' - |agreement| + 1) / (k' + 1), where gamma grows as the sending
@@ -135,31 +135,20 @@ def consensus_filter(
 
 
 def contrast_scores(
-    previous_frequent: list[tuple[int, float]],
-    validated_frequent: list[tuple[int, float]],
+    previous_frequent: list[tuple[int, float]], validated: RankedEstimates
 ) -> list[tuple[int, float]]:
-    """Rank prefixes by how hard their support collapsed across parties.
+    """Rank the sender's frequent prefixes by how hard their support collapsed.
 
-    The score is previous frequency over local frequency (plus a small
-    floor); a prefix missing from one side counts as frequency zero there.
+    ``validated`` is the receiver's estimate over exactly those prefixes. The
+    score is the sender's frequency over the local one (plus a small floor).
     Sorted by descending score, ascending prefix value on ties.
     """
-    prev = {code: freq for code, freq in previous_frequent}
-    cur = {code: freq for code, freq in validated_frequent}
+    local = validated.frequencies[np.argsort(validated.prefixes)].tolist()
     scored = [
-        (code, prev.get(code, 0.0) / (cur.get(code, 0.0) + _TAU))
-        for code in prev.keys() | cur.keys()
+        (code, freq / (cur + _TAU))
+        for (code, freq), cur in zip(sorted(previous_frequent), local, strict=True)
     ]
     return sorted(scored, key=lambda e: (-e[1], e[0]))
-
-
-def _validation_domain(entries: list[tuple[int, float]], length: int) -> CandidateDomain:
-    return CandidateDomain(length, sorted(bits for bits, _ in entries))
-
-
-def _ascending_codes(ranked: RankedEstimates) -> list[int]:
-    """The ranked prefixes by ascending (frequency, bits)."""
-    return ranked.prefixes[np.lexsort((ranked.prefixes, ranked.frequencies))].tolist()
 
 
 def consensus_prune_level(
@@ -185,24 +174,19 @@ def consensus_prune_level(
     val0, val1, main = split_users(group, [n_val, n_val, len(group) - 2 * n_val], rng)
     length = domain.level_length
     agreed: set[int] = set()
-    if package.infrequent:
-        key = derive_key(run_key, party.party_id, package.level, SUB_VAL0)
-        ranked = estimate_level(
-            party, _validation_domain(package.infrequent, length), val0, params, key
-        )
-        previous_asc = [bits for bits, _ in package.infrequent]
+    # Each side is its own validation domain. Both rankings list the most
+    # prunable prefix first; the receiver's is by ascending (frequency, bits).
+    tests = ((package.infrequent, val0, SUB_VAL0, False), (package.frequent, val1, SUB_VAL1, True))
+    for entries, users, stream, contrast in tests:
+        if not entries:
+            continue
+        validation = CandidateDomain(length, sorted(bits for bits, _ in entries))
+        key = derive_key(run_key, party.party_id, package.level, stream)
+        ranked = estimate_level(party, validation, users, params, key)
+        local = ranked.prefixes[np.lexsort((ranked.prefixes, ranked.frequencies))].tolist()
+        sender = contrast_scores(entries, ranked) if contrast else entries
         agreed |= consensus_filter(
-            previous_asc, _ascending_codes(ranked), params.k, params.epsilon, gamma
-        ).pruned
-    if package.frequent:
-        key = derive_key(run_key, party.party_id, package.level, SUB_VAL1)
-        ranked = estimate_level(
-            party, _validation_domain(package.frequent, length), val1, params, key
-        )
-        validated = list(zip(ranked.prefixes.tolist(), ranked.frequencies))
-        collapsed = [bits for bits, _ in contrast_scores(package.frequent, validated)]
-        agreed |= consensus_filter(
-            collapsed, _ascending_codes(ranked), params.k, params.epsilon, gamma
+            [bits for bits, _ in sender], local, params.k, params.epsilon, gamma
         ).pruned
     keep = domain.prefixes[~np.isin(domain.prefixes, np.array(list(agreed), dtype=np.uint64))]
     if len(keep) == 0 or len(keep) == len(domain.prefixes):
@@ -234,10 +218,10 @@ def run_taps(parties: list[PartyState], params: ProtocolParams, run_key: int) ->
     shared_bits = np.array([code.bits for code in shared.topk], dtype=np.uint64)
     ordered = order_parties(parties)
     total_users = sum(p.n_users for p in parties)
-    # A zero validation budget disables the exchange outright: no package is
-    # emitted and no level pruned. This is the unpruned mechanism, run_tap.
-    exchange = params.dividing_ratio > 0
-    active = set(active_levels(params)) if exchange else set()
+    # A zero validation budget disables the exchange outright: no level is
+    # active, so no package is emitted and the prune step is a no-op. This is
+    # the unpruned mechanism, run_tap.
+    active = set(active_levels(params)) if params.dividing_ratio > 0 else set()
     phase_two = range(params.g_s + 1, params.g + 1)
     incoming: dict[int, PruningPackage] = {}
     gamma = 0.0  # the first party receives no package
@@ -252,8 +236,7 @@ def run_taps(parties: list[PartyState], params: ProtocolParams, run_key: int) ->
             )
 
         walk = _level_walk(
-            party, groups[party.party_id], params, run_key, phase_two, shared_bits,
-            prune if exchange else None,
+            party, groups[party.party_id], params, run_key, phase_two, shared_bits, prune
         )
         for h, ranked, t in walk:
             if h in active and position < len(ordered) - 1:

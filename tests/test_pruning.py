@@ -159,24 +159,24 @@ def test_consensus_matches_exhaustive_enumeration():
 # contrast ranking
 
 
+def _validated(local):
+    """The receiver's estimate over the packaged prefixes: {bits: frequency}."""
+    codes = sorted(local, key=lambda code: (-local[code], code))
+    return RankedEstimates(
+        np.array(codes, dtype=np.uint64), np.array([local[c] for c in codes]), 0.01, 6
+    )
+
+
 def test_contrast_scores_known_ratios():
     prev = [(A, 0.7), (B, 0.001)]
-    cur = [(A, 0.001), (B, 0.7)]
-    scored = dict(contrast_scores(prev, cur))
+    scored = dict(contrast_scores(prev, _validated({A: 0.001, B: 0.7})))
     assert scored[A] == pytest.approx(700.0, rel=1e-5)
     assert scored[B] == pytest.approx(0.001 / 0.7, rel=1e-5)
 
 
-def test_contrast_scores_missing_sides():
-    scored = dict(contrast_scores([(A, 0.7)], [(B, 0.2)]))
-    assert scored[A] == pytest.approx(0.7 / 1e-11)  # absent locally: huge, finite
-    assert scored[B] == 0.0  # absent in the previous ranking
-
-
 def test_contrast_scores_ordering():
     prev = [(A, 0.5), (B, 0.5), (C, 0.01)]
-    cur = [(A, 0.001), (B, 0.001), (C, 0.5)]
-    ranked = [code for code, _ in contrast_scores(prev, cur)]
+    ranked = [code for code, _ in contrast_scores(prev, _validated({A: 0.001, B: 0.001, C: 0.5}))]
     assert ranked == [A, B, C]  # equal scores fall back to ascending bits
 
 
