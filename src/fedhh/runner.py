@@ -350,13 +350,24 @@ def _run_repetition(
     return records
 
 
+class InputError(ValueError):
+    """A run's dataset or output path is unusable; raised before any job runs."""
+
+
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     """All repetitions for every (epsilon, k) point, plus one mean row each.
 
     Returns the per-run records, by point and then repetition, followed by
-    the mean rows; writes the CSV to ``config.output`` when set.
+    the mean rows; writes the CSV to ``config.output`` when set. An
+    unreadable manifest or a missing output directory raises
+    :class:`InputError` before any job runs.
     """
-    manifest = None if config.dataset == "syn" else _manifest_parties(config.dataset, config.m)
+    try:
+        manifest = None if config.dataset == "syn" else _manifest_parties(config.dataset, config.m)
+        if config.output and not Path(config.output).parent.is_dir():
+            raise FileNotFoundError(f"no directory to write {config.output} to")
+    except (OSError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
     task = functools.partial(_run_repetition, config, manifest)
     workers = min(config.threads, config.repetitions)
     if workers == 1:
@@ -410,7 +421,10 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
         config = build_config(file_values, {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
     except (OSError, ValueError) as exc:  # an unreadable or bad config is a usage error
         parser.error(str(exc))
-    records = run_experiment(config)
+    try:
+        records = run_experiment(config)
+    except InputError as exc:  # only the dataset and output checks; job errors propagate
+        parser.error(str(exc))
     if not config.output:
         sys.stdout.write(records_to_csv(records))
     else:

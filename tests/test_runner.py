@@ -572,6 +572,10 @@ _BAD_INPUT = [
     (["run", "--repetitions", "abc"], "repetitions: invalid literal for int() with base 10: 'abc'"),
     (["run", "--config", "bad.cfg"], "k: invalid literal for int() with base 10: '1O'"),
     (["truth", "--dataset", "bad_manifest.txt"], "bad_manifest.txt:1: invalid literal for int() with base 10: '4x'"),
+    # A bad manifest or output directory is rejected before any job runs.
+    (["run", "--dataset", "/nonexistent/m.txt"], "[Errno 2] No such file or directory"),
+    (["run", "--dataset", "bad_manifest.txt"], "bad_manifest.txt:1: invalid literal for int() with base 10: '4x'"),
+    (["run", "--output", "unused/out.csv", "--scale", "0.01", "--repetitions", "1"], "no directory to write unused/out.csv to"),
 ]
 
 
