@@ -51,7 +51,7 @@ from fedhh.protocol import (
     split_users,
 )
 
-_TAU = 1e-11  # keeps the contrast ratio finite when the local estimate is ~0
+_TAU = 1e-11  # keeps the contrast ratio finite when the local estimate is <= 0
 
 
 @dataclass
@@ -141,11 +141,14 @@ def contrast_scores(
 
     ``validated`` is the receiver's estimate over exactly those prefixes. The
     score is the sender's frequency over the local one (plus a small floor).
-    Sorted by descending score, ascending prefix value on ties.
+    The oracle estimates are unbiased, so a prefix the receiver barely holds
+    often estimates below zero; its local frequency counts as zero, which
+    ranks it first rather than last. Sorted by descending score, ascending
+    prefix value on ties.
     """
     local = validated.frequencies[np.argsort(validated.prefixes)].tolist()
     scored = [
-        (code, freq / (cur + _TAU))
+        (code, freq / (max(cur, 0.0) + _TAU))
         for (code, freq), cur in zip(sorted(previous_frequent), local, strict=True)
     ]
     return sorted(scored, key=lambda e: (-e[1], e[0]))

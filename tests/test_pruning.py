@@ -174,6 +174,13 @@ def test_contrast_scores_known_ratios():
     assert scored[B] == pytest.approx(0.001 / 0.7, rel=1e-5)
 
 
+def test_contrast_scores_clip_a_negative_local_estimate_at_zero():
+    # An unbiased estimate of a prefix the receiver does not hold is often
+    # below zero; it must rank as the hardest collapse, not the softest.
+    scored = contrast_scores([(A, 0.5), (B, 0.3)], _validated({A: 0.25, B: -1e-9}))
+    assert scored == [(B, pytest.approx(0.3 / 1e-11)), (A, pytest.approx(2.0))]
+
+
 def test_contrast_scores_ordering():
     prev = [(A, 0.5), (B, 0.5), (C, 0.01)]
     ranked = [code for code, _ in contrast_scores(prev, _validated({A: 0.001, B: 0.001, C: 0.5}))]
@@ -241,6 +248,19 @@ def test_prune_level_keeps_domain_when_agreement_misses_it():
         party, domain, package, party.all_users, params, run_key=555, gamma=0.0
     )
     assert new_domain is domain  # agreed codes are not domain members
+
+
+def test_prune_level_prunes_only_the_collapsed_frequent_prefix():
+    # 0x00 holds a quarter of the receiver's users and 0x30 none. 0x30's
+    # estimate falls below zero, so it tops the contrast ranking and the
+    # agreement settles at k' = 1: only 0x30 goes.
+    party, domain, _, params = _prune_setup()
+    package = PruningPackage(level=3, frequent=[(0x00, 0.5), (0x30, 0.3)], infrequent=[])
+    for run_key in range(20):
+        new_domain, _ = consensus_prune_level(
+            party, domain, package, party.all_users, params, run_key=run_key, gamma=0.0
+        )
+        assert set(domain.prefixes.tolist()) - set(new_domain.prefixes.tolist()) == {0x30}
 
 
 def test_prune_level_validation_split_is_hypergeometric(monkeypatch):
