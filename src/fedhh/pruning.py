@@ -140,11 +140,10 @@ def contrast_scores(
     """Rank the sender's frequent prefixes by how hard their support collapsed.
 
     ``validated`` is the receiver's estimate over exactly those prefixes. The
-    score is the sender's frequency over the local one (plus a small floor).
-    The oracle estimates are unbiased, so a prefix the receiver barely holds
-    often estimates below zero; its local frequency counts as zero, which
-    ranks it first rather than last. Sorted by descending score, ascending
-    prefix value on ties.
+    score is the sender's frequency over the local one, clipped at zero (an
+    unbiased estimate of a prefix barely held here is often negative, and must
+    rank first, not last), plus a small floor. Sorted by descending score,
+    ascending prefix value on ties.
     """
     local = validated.frequencies[np.argsort(validated.prefixes)].tolist()
     scored = [
@@ -175,7 +174,6 @@ def consensus_prune_level(
         return domain, group
     rng = np.random.default_rng(derive_key(run_key, party.party_id, package.level, SUB_SPLIT))
     val0, val1, main = split_users(group, [n_val, n_val, len(group) - 2 * n_val], rng)
-    length = domain.level_length
     agreed: set[int] = set()
     # Each side is its own validation domain. Both rankings list the most
     # prunable prefix first; the receiver's is by ascending (frequency, bits).
@@ -183,7 +181,7 @@ def consensus_prune_level(
     for entries, users, stream, contrast in tests:
         if not entries:
             continue
-        validation = CandidateDomain(length, sorted(bits for bits, _ in entries))
+        validation = CandidateDomain(domain.level_length, sorted(bits for bits, _ in entries))
         key = derive_key(run_key, party.party_id, package.level, stream)
         ranked = estimate_level(party, validation, users, params, key)
         local = ranked.prefixes[np.lexsort((ranked.prefixes, ranked.frequencies))].tolist()
@@ -196,7 +194,7 @@ def consensus_prune_level(
         # Nothing to prune, or pruning would empty the level; estimate on the
         # original domain either way.
         return domain, main
-    return CandidateDomain(length, keep), main
+    return CandidateDomain(domain.level_length, keep), main
 
 
 def run_taps(parties: list[PartyState], params: ProtocolParams, run_key: int) -> RunResult:

@@ -364,10 +364,10 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     """
     try:
         manifest = None if config.dataset == "syn" else _manifest_parties(config.dataset, config.m)
-        if config.output and not Path(config.output).parent.is_dir():
-            raise FileNotFoundError(f"no directory to write {config.output} to")
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from exc
+    if config.output and not Path(config.output).parent.is_dir():
+        raise InputError(f"no directory to write {config.output} to")
     task = functools.partial(_run_repetition, config, manifest)
     workers = min(config.threads, config.repetitions)
     if workers == 1:

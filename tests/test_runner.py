@@ -309,8 +309,6 @@ _OUTPUT_DIGESTS = {
     "pem": "055386254a82af547348d2c1680f9f4321fe3c01c343b1ea291782090e50088c",
     "fedpem": "3401f62771a84f74bcfc6aaab662959bfeabc5d127d1bb877e8f633dc8dd993e",
     "tap": "553ed6e139412283ffd0690a228602e31296111b56bc2428bcd47fd6b4033748",
-    # The contrast ranking clips a negative local estimate at zero, so taps
-    # prunes collapsed frequent prefixes it used to rank last.
     "taps": "b51b06a7e56393cbcd2a39f806ef39430ea62f3850191128bf04d579148baa80",
 }
 
