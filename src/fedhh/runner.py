@@ -359,8 +359,8 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
 
     Returns the per-run records, by point and then repetition, followed by
     the mean rows; writes the CSV to ``config.output`` when set. An
-    unreadable manifest or a missing output directory raises
-    :class:`InputError` before any job runs.
+    unreadable manifest, a missing output directory or an output path that
+    names a directory raises :class:`InputError` before any job runs.
     """
     try:
         manifest = None if config.dataset == "syn" else _manifest_parties(config.dataset, config.m)
@@ -368,6 +368,8 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
         raise InputError(str(exc)) from exc
     if config.output and not Path(config.output).parent.is_dir():
         raise InputError(f"no directory to write {config.output} to")
+    if config.output and Path(config.output).is_dir():
+        raise InputError(f"{config.output} is a directory, not a file to write")
     task = functools.partial(_run_repetition, config, manifest)
     workers = min(config.threads, config.repetitions)
     if workers == 1:

@@ -576,6 +576,7 @@ _BAD_INPUT = [
     (["run", "--dataset", "/nonexistent/m.txt"], "[Errno 2] No such file or directory"),
     (["run", "--dataset", "bad_manifest.txt"], "bad_manifest.txt:1: invalid literal for int() with base 10: '4x'"),
     (["run", "--output", "unused/out.csv", "--scale", "0.01", "--repetitions", "1"], "no directory to write unused/out.csv to"),
+    (["run", "--output", ".", "--scale", "0.01", "--repetitions", "1"], ". is a directory, not a file to write"),
 ]
 
 
