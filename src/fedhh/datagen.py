@@ -134,11 +134,14 @@ def generate_syn(
         raise ValueError("need at least one party spec")
     if n_groups < 1:
         raise ValueError("n_groups must be positive")
-    pool = np.arange(item_pool) if isinstance(item_pool, int) else np.asarray(item_pool)
+    if isinstance(item_pool, int):
+        pool = np.arange(item_pool)
+    else:
+        pool = np.asarray(item_pool)
+        if len(np.unique(pool)) != len(pool):
+            raise ValueError("pool items must be distinct")
     if len(pool) < n_groups:
         raise ValueError("item pool smaller than the number of groups")
-    if len(np.unique(pool)) != len(pool):
-        raise ValueError("pool items must be distinct")
     if int(pool.max()) >= (1 << m):
         raise ValueError(f"pool items do not fit in {m} bits")
     shuffled = rng.permutation(len(pool))

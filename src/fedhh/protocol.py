@@ -33,7 +33,13 @@ protocol parameters and a 64-bit ``run_key``. It writes to none of its
 inputs and returns one :class:`RunResult`: the server's top-k and merged
 counts, each party's final (prefix, count) upload, and the run's report and
 package pair totals. One ``parties`` list can therefore serve any number of
-runs, from any number of threads at once.
+runs, from any number of threads at once. An engine also takes each
+party's level groups, ``groups`` (party id -> :data:`LevelGroups`), and
+draws them with :func:`draw_groups` when it is None. The groups depend on
+the party, the run key and the level plan (g, g_s, phase-I fraction), not
+on epsilon, k or the oracle, so the runner draws a repetition's groups once
+and passes them to each of its (epsilon, k) jobs; the result is the same as
+when each engine draws them.
 
 Randomness contract: every draw comes from a stream keyed by the run key and
 fixed tags: group assignment by (party), a validation split and each group's
@@ -46,7 +52,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -369,6 +375,20 @@ def assign_groups(
     return dict(enumerate(split_users(party.all_users, sizes, rng), start=1))
 
 
+def draw_groups(
+    parties: list[PartyState], params: ProtocolParams, run_key: int, mode: str
+) -> dict[int, LevelGroups]:
+    """Every party's level groups by party id: :func:`assign_groups` in ``mode``.
+
+    Every engine's groups are drawn here. Raises ProtocolError when two
+    parties share an id, since their groups would collide.
+    """
+    groups = {party.party_id: assign_groups(party, params, run_key, mode) for party in parties}
+    if len(groups) < len(parties):
+        raise ProtocolError("party ids must be distinct")
+    return groups
+
+
 def estimate_level(
     party: PartyState,
     domain: CandidateDomain,
@@ -499,16 +519,15 @@ def _walk_and_merge(
     params: ProtocolParams,
     run_key: int,
     levels: range,
-    groups_of: Callable[[PartyState], LevelGroups],
+    groups: dict[int, LevelGroups],
 ) -> RunResult:
-    """Walk each party through ``levels`` and merge the uploads, each party's
-    last selection with positive counts. A party's groups, ``groups_of(party)``,
-    are taken just before its walk, so one party's groups are alive at a time."""
+    """Walk each party through ``levels`` on ``groups[party.party_id]`` and
+    merge the uploads, each party's last selection with positive counts."""
     if not parties:
         raise ProtocolError("need at least one party")
     reports = []
     for party in parties:
-        for _, ranked, t in _level_walk(party, groups_of(party), params, run_key, levels):
+        for _, ranked, t in _level_walk(party, groups[party.party_id], params, run_key, levels):
             pass
         reports.append((party.party_id, _positive_entries(party, ranked, t)))
     return _merge_reports(reports, params.k)
@@ -522,21 +541,30 @@ def run_stc(
 ) -> RunResult:
     """Phase I: each party walks levels 1..g_s on ``groups[party.party_id]``;
     the merged top-k is the shared shallow trie (empty if no count is positive)."""
-    levels = range(1, params.g_s + 1)
-    return _walk_and_merge(parties, params, run_key, levels, lambda party: groups[party.party_id])
+    return _walk_and_merge(parties, params, run_key, range(1, params.g_s + 1), groups)
 
 
-def run_pem_single(party: PartyState, params: ProtocolParams, run_key: int) -> RunResult:
+def run_pem_single(
+    party: PartyState,
+    params: ProtocolParams,
+    run_key: int,
+    groups: dict[int, LevelGroups] | None = None,
+) -> RunResult:
     """Single-party baseline: :func:`run_fedpem` on one party."""
-    return run_fedpem([party], params, run_key)
+    return run_fedpem([party], params, run_key, groups)
 
 
-def run_fedpem(parties: list[PartyState], params: ProtocolParams, run_key: int) -> RunResult:
+def run_fedpem(
+    parties: list[PartyState],
+    params: ProtocolParams,
+    run_key: int,
+    groups: dict[int, LevelGroups] | None = None,
+) -> RunResult:
     """Federated baseline: each party splits its users evenly across all g
-    levels, walks them with fixed extension ``t = k`` and no shared trie, and
-    the server merges the final-level uploads."""
+    levels (``groups``, drawn in mode "pem" when None), walks them with fixed
+    extension ``t = k`` and no shared trie, and the server merges the
+    final-level uploads."""
+    if groups is None:
+        groups = draw_groups(parties, params, run_key, "pem")
     pem_params = replace(params, fixed_t=params.fixed_t if params.fixed_t is not None else params.k)
-    return _walk_and_merge(
-        parties, pem_params, run_key, range(1, params.g + 1),
-        lambda party: assign_groups(party, pem_params, run_key, "pem"),
-    )
+    return _walk_and_merge(parties, pem_params, run_key, range(1, params.g + 1), groups)

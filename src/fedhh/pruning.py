@@ -37,15 +37,15 @@ from fedhh.protocol import (
     SUB_SPLIT,
     SUB_VAL0,
     SUB_VAL1,
+    LevelGroups,
     PartyState,
-    ProtocolError,
     ProtocolParams,
     RunResult,
     UserGroup,
     _level_walk,
     _merge_reports,
     _positive_entries,
-    assign_groups,
+    draw_groups,
     estimate_level,
     run_stc,
     split_users,
@@ -197,7 +197,12 @@ def consensus_prune_level(
     return CandidateDomain(domain.level_length, keep), main
 
 
-def run_taps(parties: list[PartyState], params: ProtocolParams, run_key: int) -> RunResult:
+def run_taps(
+    parties: list[PartyState],
+    params: ProtocolParams,
+    run_key: int,
+    groups: dict[int, LevelGroups] | None = None,
+) -> RunResult:
     """The two-phase adaptive mechanism with sequential consensus pruning.
 
     Phase I builds the shared shallow trie. In phase II every party privately
@@ -206,11 +211,11 @@ def run_taps(parties: list[PartyState], params: ProtocolParams, run_key: int) ->
     in descending population order; at every active level each non-final
     party emits a pruning package consumed by its successor at the same
     level. With a single party or a zero ``dividing_ratio`` no package
-    travels and this is the unpruned mechanism (:func:`run_tap`).
+    travels and this is the unpruned mechanism (:func:`run_tap`). Both phases
+    walk each party's ``groups``, drawn in mode "tap" when None.
     """
-    groups = {party.party_id: assign_groups(party, params, run_key, "tap") for party in parties}
-    if len(groups) < len(parties):
-        raise ProtocolError("party ids must be distinct")
+    if groups is None:
+        groups = draw_groups(parties, params, run_key, "tap")
     shared = run_stc(parties, params, run_key, groups)
     if not shared.topk:
         # Phase I found no candidate: every party uploads nothing.
@@ -252,7 +257,12 @@ def run_taps(parties: list[PartyState], params: ProtocolParams, run_key: int) ->
     return _merge_reports(reports, params.k, shared.report_pairs, package_pairs)
 
 
-def run_tap(parties: list[PartyState], params: ProtocolParams, run_key: int) -> RunResult:
+def run_tap(
+    parties: list[PartyState],
+    params: ProtocolParams,
+    run_key: int,
+    groups: dict[int, LevelGroups] | None = None,
+) -> RunResult:
     """The two-phase adaptive mechanism without pruning: :func:`run_taps`
     with no package exchange, whatever ``params.dividing_ratio`` says."""
-    return run_taps(parties, replace(params, dividing_ratio=0.0), run_key)
+    return run_taps(parties, replace(params, dividing_ratio=0.0), run_key, groups)

@@ -10,11 +10,13 @@ there rather than inside a job.
 Each repetition is one task, and tasks share no state. A sweep maps its
 tasks in the calling thread when ``min(threads, repetitions)`` is 1 and on a
 pool of that many threads otherwise. A task derives its key from the root
-seed, builds its dataset (for the synthetic recipe) and exact top-max(k)
-once, and scores each (epsilon, k) job's :class:`~fedhh.protocol.RunResult`
-against the truth: F1 and NCR from the result's top-k, average local recall
-from each party's upload and uploaded bytes from its pair totals. The root
-seed fully determines every output column except wall_time_ms.
+seed and builds once what its (epsilon, k) jobs share: its dataset (for the
+synthetic recipe), the pooled party for ``pem``, the exact top-max(k) and,
+on its first job, every party's level groups, which read neither epsilon
+nor k. It scores each job's :class:`~fedhh.protocol.RunResult` against the
+truth: F1 and NCR from the result's top-k, average local recall from each
+party's upload and uploaded bytes from its pair totals. The root seed fully
+determines every output column except wall_time_ms.
 """
 
 from __future__ import annotations
@@ -46,9 +48,11 @@ from fedhh.datagen import (
 )
 from fedhh.protocol import (
     PARTY_USERS_LIMIT,
+    LevelGroups,
     PartyState,
     ProtocolParams,
     RunResult,
+    draw_groups,
     pool_counts,
     run_fedpem,
     run_pem_single,
@@ -56,6 +60,8 @@ from fedhh.protocol import (
 from fedhh.pruning import run_tap, run_taps
 
 MECHANISMS = ("pem", "fedpem", "tap", "taps")
+# How each mechanism splits a party's users across the trie levels.
+_GROUPING_MODES = {"pem": "pem", "fedpem": "pem", "tap": "tap", "taps": "tap"}
 
 _TAG_DATASET = 7
 
@@ -301,17 +307,19 @@ def _syn_parties(recipe, repetition: int) -> list[PartyState]:
 # execution
 
 def _execute(
-    mechanism: str, parties: list[PartyState], params: ProtocolParams, run_key: int
+    mechanism: str,
+    parties: list[PartyState],
+    params: ProtocolParams,
+    run_key: int,
+    groups: dict[int, LevelGroups],
 ) -> RunResult:
     if mechanism == "tap":
-        return run_tap(parties, params, run_key)
+        return run_tap(parties, params, run_key, groups)
     if mechanism == "taps":
-        return run_taps(parties, params, run_key)
+        return run_taps(parties, params, run_key, groups)
     if mechanism == "fedpem":
-        return run_fedpem(parties, params, run_key)
-    # pem: the centralized baseline pools every user into one population
-    pooled = PartyState(0, *pool_counts(parties), parties[0].item_length)
-    return run_pem_single(pooled, params, run_key)
+        return run_fedpem(parties, params, run_key, groups)
+    return run_pem_single(parties[0], params, run_key, groups)
 
 
 def _run_repetition(
@@ -319,18 +327,25 @@ def _run_repetition(
 ) -> list[RunRecord]:
     """One repetition's records, one per (epsilon, k) job in config order.
 
-    The repetition's dataset and exact top-max(k) are built once, here, and
-    only its own jobs see them.
+    The repetition's dataset, pooled party (``pem``), exact top-max(k) and
+    level groups are built once, here, and only its own jobs see them.
     """
     parties = manifest or _syn_parties(config, repetition)
+    if config.mechanism == "pem":
+        # The centralized baseline pools every user into one population.
+        parties = [PartyState(0, *pool_counts(parties), parties[0].item_length)]
     truth = exact_topk(parties, max(config.k))
     run_key = derive_key(config.root_seed, repetition)
+    groups = None
     records = []
     for epsilon, k in itertools.product(config.epsilon, config.k):
         if len(truth.topk) < k:
             raise ValueError(f"dataset holds only {len(truth.topk)} distinct items, need k={k}")
+        params = config.protocol_params(epsilon, k)
         start = time.perf_counter()
-        result = _execute(config.mechanism, parties, config.protocol_params(epsilon, k), run_key)
+        if groups is None:  # the first job draws them; grouping reads neither epsilon nor k
+            groups = draw_groups(parties, params, run_key, _GROUPING_MODES[config.mechanism])
+        result = _execute(config.mechanism, parties, params, run_key, groups)
         wall_ms = (time.perf_counter() - start) * 1000.0
         truth_codes = truth.codes[:k]
         local_lists = [[code for code, _ in entries[:k]] for _, entries in result.uploads]

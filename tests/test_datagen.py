@@ -117,6 +117,17 @@ def test_generate_accepts_explicit_pool():
     assert set(parties[0].users.tolist()) <= set(pool.tolist())
 
 
+def test_generate_pool_array_must_be_distinct():
+    specs = [PartySpec(500, "zipf", 1.3), PartySpec(300, "poisson", 4.0)]
+    with pytest.raises(ValueError, match="distinct"):
+        generate_syn(specs, np.array([3, 1, 3, 2]), 2, np.random.default_rng(0))
+    # A distinct array and a pool size that name the same items build the same dataset.
+    by_array = generate_syn(specs, np.arange(200), 3, np.random.default_rng(8), m=16)
+    by_size = generate_syn(specs, 200, 3, np.random.default_rng(8), m=16)
+    for a, b in zip(by_array, by_size, strict=True):
+        assert np.array_equal(a.codes, b.codes) and np.array_equal(a.counts, b.counts)
+
+
 def test_generate_input_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):

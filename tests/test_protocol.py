@@ -20,6 +20,7 @@ from fedhh.protocol import (
     UserGroup,
     _positive_entries,
     assign_groups,
+    draw_groups,
     estimate_level,
     run_fedpem,
     run_pem_single,
@@ -42,8 +43,7 @@ def _party(party_id, items, m):
 
 
 def _stc(parties, params, run_key):
-    groups = {p.party_id: assign_groups(p, params, run_key, "tap") for p in parties}
-    return run_stc(parties, params, run_key, groups).topk
+    return run_stc(parties, params, run_key, draw_groups(parties, params, run_key, "tap")).topk
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +508,32 @@ def test_fedpem_identical_parties_recover_exact_top_k():
 def test_fedpem_rejects_empty_party_list():
     with pytest.raises(ProtocolError, match="at least one"):
         run_fedpem([], _params(), run_key=1)
+
+
+def _pem_on_first(parties, params, run_key, groups=None):
+    return run_pem_single(parties[0], params, run_key, groups)
+
+
+@pytest.mark.parametrize(
+    "engine, mode",
+    [(_pem_on_first, "pem"), (run_fedpem, "pem"), (run_tap, "tap"), (run_taps, "tap")],
+    ids=["pem_single", "fedpem", "tap", "taps"],
+)
+def test_engines_give_the_same_result_with_groups_passed_or_drawn(engine, mode):
+    specs = [PartySpec(4000, "zipf", 1.3), PartySpec(3000, "poisson", 5.0), PartySpec(2000, "zipf", 1.5)]
+    parties = generate_syn(specs, 500, 3, np.random.default_rng(17), m=16)
+    params = ProtocolParams(m=16, g=8, g_s=2, k=4, epsilon=3.0, dividing_ratio=0.2)
+    # Grouping reads neither epsilon nor k: one draw serves every job.
+    groups = draw_groups(parties, params, 21, mode)
+    for epsilon, k in ((3.0, 4), (1.0, 6)):
+        job = dataclasses.replace(params, epsilon=epsilon, k=k)
+        assert engine(parties, job, 21, groups) == engine(parties, job, 21)
+
+
+def test_fedpem_rejects_repeated_party_ids():
+    items = np.arange(100) % 16
+    with pytest.raises(ProtocolError, match="distinct"):
+        run_fedpem([_party(0, items, 8), _party(0, items, 8)], _params(), run_key=1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedhh import oracles, runner
+from fedhh import oracles, protocol, runner
 from fedhh.datagen import PartySpec, generate_syn
 from fedhh.protocol import PartyState, ProtocolParams, run_fedpem
 from fedhh.pruning import active_levels, run_tap, run_taps
@@ -290,6 +290,22 @@ def test_run_experiment_builds_each_dataset_once(monkeypatch):
         assert [r.run_id for r in records[-4:]] == [
             "taps-eps2-k5-mean", "taps-eps2-k10-mean", "taps-eps4-k5-mean", "taps-eps4-k10-mean"
         ]
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_run_experiment_draws_each_repetitions_groups_once(mechanism, monkeypatch):
+    """Every (epsilon, k) job of a repetition shares one draw of its groups."""
+    drawn = []
+    real_assign = protocol.assign_groups
+
+    def assign(party, *args, **kwargs):
+        drawn.append(party.party_id)
+        return real_assign(party, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "assign_groups", assign)
+    run_experiment(_small_config(mechanism=mechanism, epsilon=(2.0, 4.0), k=(5, 10), repetitions=2))
+    parties = 1 if mechanism == "pem" else len(_scaled_specs(0.01))
+    assert sorted(drawn) == sorted(list(range(parties)) * 2)
 
 
 def test_run_experiment_sweeps_epsilon_k_grid():
