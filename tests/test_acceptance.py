@@ -20,7 +20,7 @@ from fedhh.datagen import PartySpec, exact_topk, generate_syn
 from fedhh.extension import RankedEstimates, drift_probability, select_anchor
 from fedhh.metrics import f1_score
 from fedhh.oracles import OracleConfig, estimate_from_counts, perturb_counts, variance
-from fedhh.protocol import ProtocolParams, run_fedpem
+from fedhh.protocol import ProtocolParams, draw_groups, run_fedpem
 from fedhh.pruning import consensus_filter, run_tap, run_taps
 from fedhh.runner import CSV_HEADER, ExperimentConfig, _dataset_rng, _scaled_specs, records_to_csv, run_experiment
 
@@ -201,23 +201,27 @@ PKG_CAP = 13 * 8 * 4 * 10 * 16  # active levels x parties x 4k pairs x pair byte
 
 
 def _syn_rep(rep):
+    """One repetition's 13 engine runs. Grouping reads neither epsilon nor
+    fixed_t, so each grouping mode's groups are drawn once and shared."""
     parties = generate_syn(
         _scaled_specs(1.0), 33_000, 6, _dataset_rng(ACC_SEED, rep), m=48, dirichlet_beta=0.5
     )
     truth = exact_topk(parties, 10).codes
     run_key = derive_key(ACC_SEED, rep)
+    plan = ProtocolParams(m=48, g=24, g_s=6, k=10)
+    tap_groups = draw_groups(parties, plan, run_key, "tap")
+    pem_groups = draw_groups(parties, plan, run_key, "pem")
     out = {}
     for eps in SYN_EPS:
-        for label, runner, fixed_t in (
-            ("taps", run_taps, None),
-            ("tap", run_tap, None),
-            ("fedpem", run_fedpem, None),
+        for label, runner, groups in (
+            ("taps", run_taps, tap_groups),
+            ("tap", run_tap, tap_groups),
+            ("fedpem", run_fedpem, pem_groups),
         ):
             params = ProtocolParams(
-                m=48, g=24, g_s=6, k=10, epsilon=eps, oracle="krr",
-                dividing_ratio=0.1, fixed_t=fixed_t,
+                m=48, g=24, g_s=6, k=10, epsilon=eps, oracle="krr", dividing_ratio=0.1,
             )
-            result = runner(parties, params, run_key)
+            result = runner(parties, params, run_key, groups)
             out[(label, eps)] = (
                 f1_score(result.topk, truth),
                 result.uploaded_bytes,
@@ -228,7 +232,7 @@ def _syn_rep(rep):
             m=48, g=24, g_s=6, k=10, epsilon=4.0, oracle="krr",
             dividing_ratio=0.1, fixed_t=t,
         )
-        result = run_tap(parties, params, run_key)
+        result = run_tap(parties, params, run_key, tap_groups)
         out[(f"fixed{t}", 4.0)] = (f1_score(result.topk, truth), result.uploaded_bytes, 0)
     return out
 
