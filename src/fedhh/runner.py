@@ -319,7 +319,7 @@ def _execute(
         return run_taps(parties, params, run_key, groups)
     if mechanism == "fedpem":
         return run_fedpem(parties, params, run_key, groups)
-    return run_pem_single(parties[0], params, run_key, groups)
+    return run_pem_single(parties[0], params, run_key, groups)  # pem: the one pooled party
 
 
 def _run_repetition(
