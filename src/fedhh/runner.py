@@ -10,13 +10,13 @@ there rather than inside a job.
 Each repetition is one task, and tasks share no state. A sweep maps its
 tasks in the calling thread when ``min(threads, repetitions)`` is 1 and on a
 pool of that many threads otherwise. A task derives its key from the root
-seed and builds once what its (epsilon, k) jobs share: its dataset (for the
-synthetic recipe), the pooled party for ``pem``, the exact top-max(k) and,
-on its first job, every party's level groups, which read neither epsilon
-nor k. It scores each job's :class:`~fedhh.protocol.RunResult` against the
+seed and, before its jobs, builds once what its (epsilon, k) jobs share: its
+dataset (for the synthetic recipe), the pooled party for ``pem``, the exact
+top-max(k) and every party's level groups, which read neither epsilon nor
+k. It scores each job's :class:`~fedhh.protocol.RunResult` against the
 truth: F1 and NCR from the result's top-k, average local recall from each
 party's upload and uploaded bytes from its pair totals. The root seed fully
-determines every output column except wall_time_ms.
+determines every output column except wall_time_ms, a job's engine time.
 """
 
 from __future__ import annotations
@@ -328,23 +328,23 @@ def _run_repetition(
     """One repetition's records, one per (epsilon, k) job in config order.
 
     The repetition's dataset, pooled party (``pem``), exact top-max(k) and
-    level groups are built once, here, and only its own jobs see them.
+    level groups are built before its jobs, so a job times its engine alone.
     """
     parties = manifest or _syn_parties(config, repetition)
     if config.mechanism == "pem":
         # The centralized baseline pools every user into one population.
         parties = [PartyState(0, *pool_counts(parties), parties[0].item_length)]
     truth = exact_topk(parties, max(config.k))
+    if len(truth.topk) < max(config.k):
+        raise ValueError(f"dataset holds only {len(truth.topk)} distinct items, need k={max(config.k)}")
     run_key = derive_key(config.root_seed, repetition)
-    groups = None
+    # Grouping reads neither epsilon nor k, so the first point's params serve every job.
+    first = config.protocol_params(config.epsilon[0], config.k[0])
+    groups = draw_groups(parties, first, run_key, _GROUPING_MODES[config.mechanism])
     records = []
     for epsilon, k in itertools.product(config.epsilon, config.k):
-        if len(truth.topk) < k:
-            raise ValueError(f"dataset holds only {len(truth.topk)} distinct items, need k={k}")
         params = config.protocol_params(epsilon, k)
         start = time.perf_counter()
-        if groups is None:  # the first job draws them; grouping reads neither epsilon nor k
-            groups = draw_groups(parties, params, run_key, _GROUPING_MODES[config.mechanism])
         result = _execute(config.mechanism, parties, params, run_key, groups)
         wall_ms = (time.perf_counter() - start) * 1000.0
         truth_codes = truth.codes[:k]

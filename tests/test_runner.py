@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import hashlib
 import re
+import time
 
 import numpy as np
 import pytest
@@ -308,6 +309,19 @@ def test_run_experiment_draws_each_repetitions_groups_once(mechanism, monkeypatc
     assert sorted(drawn) == sorted(list(range(parties)) * 2)
 
 
+def test_job_wall_time_excludes_the_group_draw(monkeypatch):
+    """A repetition draws its groups before any job starts its clock."""
+    real_draw = runner.draw_groups
+
+    def slow_draw(*args, **kwargs):
+        time.sleep(0.5)
+        return real_draw(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "draw_groups", slow_draw)
+    records = run_experiment(_small_config(epsilon=(2.0, 4.0), repetitions=1))
+    assert len(records) == 4 and max(r.wall_time_ms for r in records) < 500
+
+
 def test_run_experiment_sweeps_epsilon_k_grid():
     records = run_experiment(_small_config(epsilon=(2.0, 4.0), k=(5, 10), repetitions=1))
     run_rows = [r for r in records if not r.run_id.endswith("-mean")]
@@ -383,6 +397,21 @@ def test_run_rejects_k_beyond_distinct_items(tmp_path):
     )
     with pytest.raises(ValueError, match="distinct items"):
         run_experiment(config)
+
+
+def test_run_rejects_a_k_the_dataset_cannot_serve_before_any_engine_runs(monkeypatch):
+    calls = []
+    real_taps = runner.run_taps
+
+    def taps(*args):
+        calls.append(1)
+        return real_taps(*args)
+
+    monkeypatch.setattr(runner, "run_taps", taps)
+    config = ExperimentConfig(mechanism="taps", epsilon=(2.0,), k=(5, 100000), scale=0.01, repetitions=1)
+    with pytest.raises(ValueError, match="dataset holds only .* distinct items"):
+        run_experiment(config)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
