@@ -41,7 +41,11 @@ _GROUP_WEIGHTS_6 = (0.25, 0.20, 0.18, 0.15, 0.12, 0.10)
 
 @dataclass(frozen=True)
 class PartySpec:
-    """Population size and popularity law for one synthetic party."""
+    """Population size and popularity law for one synthetic party.
+
+    ``param`` is the Zipf exponent, which must exceed 1, or the Poisson
+    rate, which must be positive.
+    """
 
     n_users: int
     law: str
@@ -54,8 +58,8 @@ class PartySpec:
             raise ValueError(f"unknown law {self.law!r}")
         if self.law == "zipf" and self.param <= 1.0:
             raise ValueError("zipf exponent must exceed 1")
-        if self.law == "poisson" and self.param < 0:
-            raise ValueError("poisson rate must be non-negative")
+        if self.law == "poisson" and self.param <= 0:
+            raise ValueError("poisson rate must be positive")
 
 
 @dataclass
@@ -95,17 +99,14 @@ def law_weights(spec: PartySpec, domain_size: int) -> np.ndarray:
     party's law.
 
     Zipf(a) puts weight (r+1)**-a on rank r, normalized over the domain.
-    Poisson(lam) is the pmf of a Poisson draw clipped to the domain: the
-    tail mass beyond the last rank collapses onto it.
+    Poisson(lam), lam > 0 as :class:`PartySpec` requires, is the pmf of a
+    Poisson draw clipped to the domain: the tail mass beyond the last rank
+    collapses onto it.
     """
     ranks = np.arange(domain_size, dtype=np.float64)
     if spec.law == "zipf":
         weights = (ranks + 1.0) ** -spec.param
         return weights / weights.sum()
-    if spec.param == 0:
-        weights = np.zeros(domain_size)
-        weights[0] = 1.0
-        return weights
     log_factorial = np.concatenate(([0.0], np.cumsum(np.log(ranks[1:]))))
     weights = np.exp(ranks * np.log(spec.param) - spec.param - log_factorial)
     weights[-1] += max(0.0, 1.0 - weights.sum())
@@ -114,7 +115,7 @@ def law_weights(spec: PartySpec, domain_size: int) -> np.ndarray:
 
 def generate_syn(
     specs: list[PartySpec],
-    item_pool: int | np.ndarray,
+    item_pool: int,
     n_groups: int,
     rng: np.random.Generator,
     m: int = 48,
@@ -122,9 +123,9 @@ def generate_syn(
 ) -> list[PartyState]:
     """Build one synthetic multi-party dataset.
 
-    ``item_pool`` is either the pool size (items 0..size-1) or an explicit
-    array of distinct item ids. Every party gets a fresh child seed from
-    ``rng``, so a seeded generator reproduces the whole dataset.
+    ``item_pool`` is the pool size: the items are 0..item_pool-1, and an
+    item's code is its id. Every party gets a fresh child seed from ``rng``,
+    so a seeded generator reproduces the whole dataset.
 
     Each party ranks its domain by an independent uniform permutation and
     draws how many of its users hold each rank as one multinomial over its
@@ -134,23 +135,16 @@ def generate_syn(
         raise ValueError("need at least one party spec")
     if n_groups < 1:
         raise ValueError("n_groups must be positive")
-    if isinstance(item_pool, int):
-        pool = np.arange(item_pool)
-    else:
-        pool = np.asarray(item_pool)
-        if len(np.unique(pool)) != len(pool):
-            raise ValueError("pool items must be distinct")
-    if len(pool) < n_groups:
+    if item_pool < n_groups:
         raise ValueError("item pool smaller than the number of groups")
-    if int(pool.max()) >= (1 << m):
+    if item_pool > 1 << m:
         raise ValueError(f"pool items do not fit in {m} bits")
-    shuffled = rng.permutation(len(pool))
-    bounds = np.round(np.cumsum(_group_weights(n_groups)) * len(pool)).astype(int)
+    shuffled = rng.permutation(item_pool)
+    bounds = np.round(np.cumsum(_group_weights(n_groups)) * item_pool).astype(int)
     groups = np.split(shuffled, bounds[:-1])
     parties = []
     for party_id, spec in enumerate(specs):
         party_rng = np.random.default_rng(rng.integers(0, 2**63))
-        domain = None
         for _ in range(10):
             shares = party_rng.dirichlet(np.full(n_groups, dirichlet_beta))
             taken = [
@@ -159,14 +153,14 @@ def generate_syn(
             ]
             parts = [part for part in taken if len(part)]
             if parts:
-                domain = np.concatenate(parts)
                 break
-        if domain is None:
+        else:
             raise RuntimeError("party domain came out empty after 10 draws")
+        domain = np.concatenate(parts)
         ranked = party_rng.permutation(domain)
         counts = party_rng.multinomial(spec.n_users, law_weights(spec, len(domain)))
         held = counts > 0
-        codes = pool[ranked[held]].astype(np.uint64)
+        codes = ranked[held].astype(np.uint64)
         order = np.argsort(codes)
         parties.append(PartyState(party_id, codes[order], counts[held][order], m))
     return parties

@@ -58,14 +58,6 @@ def drift_probability(delta_f: float, sigma: float) -> float:
     return normal_cdf(-delta_f / (SQRT2 * sigma))
 
 
-def _padded(frequencies, k: int) -> list[float]:
-    """Frequencies as floats, padded with zero-frequency sentinels to k+1."""
-    freqs = [float(f) for f in frequencies]
-    if len(freqs) < k + 1:
-        freqs.extend([0.0] * (k + 1 - len(freqs)))
-    return freqs
-
-
 def select_anchor(ranked: RankedEstimates, k: int) -> int:
     """The anchor rank k* in (1, k] maximizing the influence gap.
 
@@ -76,7 +68,8 @@ def select_anchor(ranked: RankedEstimates, k: int) -> int:
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    freqs = _padded(ranked.frequencies, k)
+    freqs = [float(f) for f in ranked.frequencies]
+    freqs += [0.0] * (k + 1 - len(freqs))  # zero-frequency sentinels up to k+1
     best_k, best_score = 2, -math.inf
     top_sum = 0.0
     tail_sum = sum(freqs[2 : k + 1])
@@ -97,12 +90,10 @@ def drift_distance(ranked: RankedEstimates, k: int, k_star: int) -> int:
     ranked beyond the anchor) gives eta = 0.
     """
     freqs = [float(f) for f in ranked.frequencies]
-    if k_star > len(freqs):
-        # The anchor landed on a zero-frequency sentinel; nothing to cover.
-        return 0
     lo = max(1, k_star - k + 1)
     hi = min(k, len(freqs) - k_star)
     if hi < lo:
+        # Nothing ranked beyond the anchor, or it landed on a zero-frequency sentinel.
         return 0
     anchor = freqs[k_star - 1]
     expectation = 0.0

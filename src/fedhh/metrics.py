@@ -10,15 +10,12 @@ def f1_score(estimated: Iterable, truth: Iterable) -> float:
     truth_set = set(truth)
     if not truth_set:
         raise ValueError("ground truth must be non-empty")
-    est_list = list(estimated)
-    if not est_list:
-        return 0.0
-    est_set = set(est_list)
+    est_set = set(estimated)
     hits = len(truth_set & est_set)
+    if hits == 0:  # an empty estimate included
+        return 0.0
     precision = hits / len(est_set)
     recall = hits / len(truth_set)
-    if precision + recall == 0:
-        return 0.0
     return 2 * precision * recall / (precision + recall)
 
 

@@ -172,8 +172,6 @@ def split_users(group: UserGroup, sizes: list[int], rng: np.random.Generator) ->
     users by permuting group labels (:func:`_seat_light`). The cost is
     O(heavy items x groups + light users); at most 256 groups.
     """
-    if len(sizes) == 1:
-        return [group]
     light = group.counts <= LIGHT_USERS_PER_CUT * (len(sizes) - 1)
     light_seats = rng.multivariate_hypergeometric(sizes, int(group.counts[light].sum()))
     heavy_parts = _halve(
@@ -354,7 +352,7 @@ def _even_sizes(n: int, parts: int) -> list[int]:
 
 
 def assign_groups(
-    party: PartyState, params: ProtocolParams, run_key: int, mode: str = "tap"
+    party: PartyState, params: ProtocolParams, run_key: int, mode: str
 ) -> LevelGroups:
     """Partition the party's users into per-level groups, uniformly at random.
 
@@ -522,9 +520,22 @@ def _walk_and_merge(
     groups: dict[int, LevelGroups],
 ) -> RunResult:
     """Walk each party through ``levels`` on ``groups[party.party_id]`` and
-    merge the uploads, each party's last selection with positive counts."""
+    merge the uploads, each party's last selection with positive counts.
+
+    Every engine runs this before its first level (``run_taps`` through
+    ``run_stc``), so it checks a run's inputs: raises ProtocolError for no
+    parties, a party whose item length is not ``params.m``, or a party that
+    ``groups`` lacks.
+    """
     if not parties:
         raise ProtocolError("need at least one party")
+    for party in parties:
+        if party.item_length != params.m:
+            raise ProtocolError(
+                f"party {party.party_id} holds {party.item_length}-bit items, but m={params.m}"
+            )
+        if party.party_id not in groups:
+            raise ProtocolError(f"no level groups given for party {party.party_id}")
     reports = []
     for party in parties:
         for _, ranked, t in _level_walk(party, groups[party.party_id], params, run_key, levels):

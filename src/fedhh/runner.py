@@ -8,15 +8,16 @@ is checked when it is built, so a bad combination of fields raises ValueError
 there rather than inside a job.
 
 Each repetition is one task, and tasks share no state. A sweep maps its
-tasks in the calling thread when ``min(threads, repetitions)`` is 1 and on a
-pool of that many threads otherwise. A task derives its key from the root
-seed and, before its jobs, builds once what its (epsilon, k) jobs share: its
-dataset (for the synthetic recipe), the pooled party for ``pem``, the exact
-top-max(k) and every party's level groups, which read neither epsilon nor
-k. It scores each job's :class:`~fedhh.protocol.RunResult` against the
-truth: F1 and NCR from the result's top-k, average local recall from each
-party's upload and uploaded bytes from its pair totals. The root seed fully
-determines every output column except wall_time_ms, a job's engine time.
+tasks in the calling thread when ``min(threads, repetitions, usable CPUs)``
+is 1 and on a pool of that many threads otherwise. A task derives its key
+from the root seed and, before its jobs, builds once what its (epsilon, k)
+jobs share: its dataset (for the synthetic recipe), the pooled party for
+``pem``, the exact top-max(k) and every party's level groups, which read
+neither epsilon nor k. It scores each job's
+:class:`~fedhh.protocol.RunResult` against the truth: F1 and NCR from the
+result's top-k, average local recall from each party's upload and uploaded
+bytes from its pair totals. The root seed fully determines every output
+column except wall_time_ms, a job's engine time.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import functools
 import io
 import itertools
 import math
+import os
 import sys
 import time
 import typing
@@ -91,8 +93,8 @@ class ExperimentConfig:
     repetitions: int = 50
     root_seed: int = 12345
     output: str | None = None
-    threads: int = field(default=1, metadata={"help": "repetitions run at once on a thread pool; "
-                                              "min(threads, repetitions) = 1 runs in the calling thread"})
+    threads: int = field(default=1, metadata={"help": "repetitions run at once on a thread pool of at most "
+                                              "one thread per usable CPU; a pool of 1 runs in the calling thread"})
     ncr_quality: str = field(default="k-rank", metadata={"choices": ("k-rank", "k-rank+1")})
 
     def __post_init__(self):
@@ -386,7 +388,9 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     if config.output and Path(config.output).is_dir():
         raise InputError(f"{config.output} is a directory, not a file to write")
     task = functools.partial(_run_repetition, config, manifest)
-    workers = min(config.threads, config.repetitions)
+    # No config value starts more threads than the process has CPUs to run them on.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(config.threads, config.repetitions, cpus)
     if workers == 1:
         # A pool thread would add only its start-up and its malloc arena (5-11% peak RSS).
         by_repetition = list(map(task, range(config.repetitions)))
@@ -456,12 +460,15 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_generate(args, parser: argparse.ArgumentParser) -> int:
+    out = Path(args.out)
     try:
+        # Checked before the build, so a bad --out writes nothing.
+        if any(path.exists() and not path.is_dir() for path in (out, *out.parents)):
+            raise ValueError(f"{out} is a file or lies under one, not a directory to write to")
         _check_recipe(args)
         parties = _syn_parties(args, 0)
     except ValueError as exc:
         parser.error(str(exc))
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     width = len(str(args.pool_size - 1))
     with open(out / "vocabulary.txt", "w", encoding="utf-8") as handle:

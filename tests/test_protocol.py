@@ -514,11 +514,15 @@ def _pem_on_first(parties, params, run_key, groups=None):
     return run_pem_single(parties[0], params, run_key, groups)
 
 
-@pytest.mark.parametrize(
+# Each engine with the grouping mode it draws its groups in.
+_ENGINES = pytest.mark.parametrize(
     "engine, mode",
     [(_pem_on_first, "pem"), (run_fedpem, "pem"), (run_tap, "tap"), (run_taps, "tap")],
     ids=["pem_single", "fedpem", "tap", "taps"],
 )
+
+
+@_ENGINES
 def test_engines_give_the_same_result_with_groups_passed_or_drawn(engine, mode):
     specs = [PartySpec(4000, "zipf", 1.3), PartySpec(3000, "poisson", 5.0), PartySpec(2000, "zipf", 1.5)]
     parties = generate_syn(specs, 500, 3, np.random.default_rng(17), m=16)
@@ -534,6 +538,26 @@ def test_fedpem_rejects_repeated_party_ids():
     items = np.arange(100) % 16
     with pytest.raises(ProtocolError, match="distinct"):
         run_fedpem([_party(0, items, 8), _party(0, items, 8)], _params(), run_key=1)
+
+
+@_ENGINES
+@pytest.mark.parametrize("m", [12, 48])
+def test_engines_reject_parties_of_another_item_length(engine, mode, m):
+    # A wider m would shift past the items' bits; a narrower one would return prefixes as items.
+    parties = [_party(0, np.arange(300) % 40, 16), _party(1, np.arange(200) % 30, 16)]
+    params = _params(m=m, g=8, g_s=2)
+    groups = draw_groups(parties, params, 5, mode)
+    with pytest.raises(ProtocolError, match=f"party 0 holds 16-bit items, but m={m}"):
+        engine(parties, params, 5, groups)
+
+
+@_ENGINES
+def test_engines_reject_groups_that_lack_a_party(engine, mode):
+    parties = [_party(0, np.arange(300) % 40, 16), _party(1, np.arange(200) % 30, 16)]
+    params = _params(m=16, g=8, g_s=2)
+    groups = draw_groups(parties[1:], params, 5, mode)
+    with pytest.raises(ProtocolError, match="no level groups given for party 0"):
+        engine(parties, params, 5, groups)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from dataclasses import fields, replace
 
 import hashlib
+import os
 import re
 import time
 
@@ -261,6 +262,22 @@ def test_run_experiment_runs_one_repetition_in_the_calling_thread(monkeypatch):
     expected = _strip_wall_time(records_to_csv(run_experiment(_small_config(repetitions=1))))
     monkeypatch.setattr(runner, "ThreadPoolExecutor", no_pool)
     records = run_experiment(_small_config(repetitions=1, threads=4))
+    assert _strip_wall_time(records_to_csv(records)) == expected
+
+
+def test_run_experiment_starts_no_more_threads_than_usable_cpus(monkeypatch):
+    pools, real_pool = [], runner.ThreadPoolExecutor
+
+    def spy(*args, **kwargs):
+        pools.append(kwargs)
+        return real_pool(*args, **kwargs)
+
+    expected = _strip_wall_time(records_to_csv(run_experiment(_small_config(repetitions=3))))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", spy)
+    records = run_experiment(_small_config(repetitions=3, threads=4))
+    assert pools == []
     assert _strip_wall_time(records_to_csv(records)) == expected
 
 
@@ -622,6 +639,7 @@ _BAD_INPUT = [
     (["run", "--dataset", "bad_manifest.txt"], "bad_manifest.txt:1: invalid literal for int() with base 10: '4x'"),
     (["run", "--output", "unused/out.csv", "--scale", "0.01", "--repetitions", "1"], "no directory to write unused/out.csv to"),
     (["run", "--output", ".", "--scale", "0.01", "--repetitions", "1"], ". is a directory, not a file to write"),
+    (["generate", "--out", "bad.cfg", "--scale", "0.001"], "bad.cfg is a file or lies under one, not a directory to write to"),
 ]
 
 
