@@ -68,7 +68,7 @@ def select_anchor(ranked: RankedEstimates, k: int) -> int:
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    freqs = [float(f) for f in ranked.frequencies]
+    freqs = [float(f) for f in ranked.frequencies[: k + 1]]  # the ranks the score reads
     freqs += [0.0] * (k + 1 - len(freqs))  # zero-frequency sentinels up to k+1
     best_k, best_score = 2, -math.inf
     top_sum = 0.0
@@ -89,12 +89,12 @@ def drift_distance(ranked: RankedEstimates, k: int, k_star: int) -> int:
     x in [max(1, k*-k+1), min(k, len(ranked)-k*)]. An empty range (nothing
     ranked beyond the anchor) gives eta = 0.
     """
-    freqs = [float(f) for f in ranked.frequencies]
     lo = max(1, k_star - k + 1)
-    hi = min(k, len(freqs) - k_star)
+    hi = min(k, len(ranked.frequencies) - k_star)
     if hi < lo:
         # Nothing ranked beyond the anchor, or it landed on a zero-frequency sentinel.
         return 0
+    freqs = [float(f) for f in ranked.frequencies[: k_star + hi]]  # the ranks the sum reads
     anchor = freqs[k_star - 1]
     expectation = 0.0
     for x in range(lo, hi + 1):

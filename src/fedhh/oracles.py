@@ -24,6 +24,10 @@ Security 2017):
   uniform over all d indices, because p + (d - 1) q = 1. Hence
   c = Bin(n_x, p - q) + Multinomial(n - kept, 1/d), exact in distribution.
 
+For oue and olh one ``binomial`` call draws both terms, over the 2d entries
+(n_x, then n - n_x) with p, then q, per entry: the same law and the same
+stream as two calls, with one call's fixed cost fewer.
+
 Determinism contract: the counts are a function of the stream key and the
 group's histogram alone, so they do not depend on the order of users, on
 chunking or on the number of threads.
@@ -147,7 +151,9 @@ def perturb_counts(
     if config.kind == "krr":
         kept = rng.binomial(hist, config.p - config.q)
         return kept + rng.multinomial(n - int(kept.sum()), np.full(d, 1.0 / d))
-    return rng.binomial(hist, config.p) + rng.binomial(n - hist, config.q)
+    # Bin(hist, p) then Bin(n - hist, q), drawn in that order by one call.
+    draws = rng.binomial(np.concatenate([hist, n - hist]), np.repeat([config.p, config.q], d))
+    return draws[:d] + draws[d:]
 
 
 def variance(config: OracleConfig, n: int) -> float:

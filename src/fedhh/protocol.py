@@ -218,7 +218,10 @@ def _seat_light(
     A block is a run of whole items holding about ``LIGHT_BLOCK_USERS`` users.
     It takes a multivariate hypergeometric share of the seats left (the last
     block takes them all) and permutes that many uint8 group labels over its
-    users, listed by item. A stable sort by label then lists each group's
+    users, listed by item. It shuffles an int64 index and gathers the labels
+    through it: numpy's shuffle makes the same swaps for any dtype, so the
+    labels land as if shuffled themselves, and numpy shuffles int64 items
+    faster than uint8 ones. A stable sort by label then lists each group's
     users by item, and run lengths give its histogram. Taking consecutive
     blocks is the chain rule of one permutation of all the users, and
     temporaries stay O(block).
@@ -237,7 +240,8 @@ def _seat_light(
         counts = group.counts[lo:hi]
         take = left if hi == n_items else rng.multivariate_hypergeometric(left, int(counts.sum()))
         left = left - take
-        by_label = np.argsort(rng.permutation(np.repeat(labels, take)), kind="stable")
+        block_labels = np.repeat(labels, take)
+        by_label = np.argsort(block_labels[rng.permutation(len(block_labels))], kind="stable")
         items = np.repeat(np.arange(lo, hi), counts)[by_label]
         first = np.cumsum(take) - take  # each group's first position in ``items``
         new_run = np.ones(len(items), dtype=bool)

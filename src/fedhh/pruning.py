@@ -189,7 +189,12 @@ def consensus_prune_level(
         agreed |= consensus_filter(
             [bits for bits, _ in sender], local, params.k, params.epsilon, gamma
         ).pruned
-    keep = domain.prefixes[~np.isin(domain.prefixes, np.array(list(agreed), dtype=np.uint64))]
+    if not agreed:
+        return domain, main
+    # Membership by binary search: np.isin's sort path imports numpy.ma on first use.
+    pruned = np.array(sorted(agreed), dtype=np.uint64)
+    at = np.minimum(np.searchsorted(pruned, domain.prefixes), len(pruned) - 1)
+    keep = domain.prefixes[pruned[at] != domain.prefixes]
     if len(keep) == 0 or len(keep) == len(domain.prefixes):
         # Nothing to prune, or pruning would empty the level; estimate on the
         # original domain either way.

@@ -32,7 +32,6 @@ import os
 import sys
 import time
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -395,6 +394,8 @@ def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
         # A pool thread would add only its start-up and its malloc arena (5-11% peak RSS).
         by_repetition = list(map(task, range(config.repetitions)))
     else:
+        from concurrent.futures import ThreadPoolExecutor  # imported here: a serial run never needs it
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             by_repetition = list(pool.map(task, range(config.repetitions)))
     by_point = list(zip(*by_repetition))  # each point's records, in repetition order

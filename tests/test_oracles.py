@@ -355,6 +355,33 @@ def test_perturb_counts_held_matches_per_user_indices(kind):
         assert np.array_equal(from_held, per_user), trial
 
 
+@pytest.mark.parametrize("d", [2, 9, 81, 1025])
+@pytest.mark.parametrize("kind", ["oue", "olh"])
+def test_perturb_counts_draws_the_two_binomial_calls(kind, d, monkeypatch):
+    """The one-call draw equals Bin(hist, p) + Bin(n - hist, q) drawn by two
+    calls from the same stream, and leaves the generator where they leave it."""
+    made = []
+    real_rng = np.random.default_rng
+
+    def spy(seed):
+        made.append(real_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    for eps, trial in [(0.5, 0), (2.0, 1), (4.0, 2), (12.0, 3)]:
+        source = real_rng(trial)
+        true = source.integers(0, d, size=64)
+        held = source.integers(0, 4000, size=64)
+        config = OracleConfig(kind, eps, d)
+        key = derive_key(808, d, trial)
+        counts = oracles.perturb_counts(config, key, range(int(held.sum())), true, held)
+        hist = np.bincount(true, weights=held, minlength=d).astype(np.int64)
+        rng = real_rng(derive_key(key, oracles._STREAM_COUNTS))
+        expected = rng.binomial(hist, config.p) + rng.binomial(int(hist.sum()) - hist, config.q)
+        assert np.array_equal(counts, expected), (eps, trial)
+        assert made[-1].integers(2**63) == rng.integers(2**63)
+
+
 def test_perturb_counts_rejects_bad_held():
     config = OracleConfig("krr", 1.0, 4)
     with pytest.raises(ValueError, match="shape"):

@@ -257,6 +257,57 @@ def test_split_users_counts_are_hypergeometric(case, monkeypatch):
     assert_hypergeometric(samples, counts, sizes)
 
 
+def _seat_light_by_label_shuffle(group, seats, rng):
+    """Reference seating: each block shuffles its uint8 group labels
+    themselves, and each group's piece is a per-user histogram."""
+    cuts = np.searchsorted(
+        np.cumsum(group.counts),
+        np.arange(protocol.LIGHT_BLOCK_USERS, len(group), protocol.LIGHT_BLOCK_USERS),
+    )
+    n_items = len(group.codes)
+    bounds = [0, *cuts.tolist(), n_items] if n_items else [0]
+    pieces = [([], []) for _ in seats]
+    left = seats
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        counts = group.counts[lo:hi]
+        take = left if hi == n_items else rng.multivariate_hypergeometric(left, int(counts.sum()))
+        left = left - take
+        labels = rng.permutation(np.repeat(np.arange(len(seats), dtype=np.uint8), take))
+        items = np.repeat(np.arange(hi - lo), counts)
+        for label, (codes, held) in enumerate(pieces):
+            hist = np.bincount(items[labels == label], minlength=hi - lo)
+            if hist.any():
+                codes.append(group.codes[lo:hi][hist > 0])
+                held.append(hist[hist > 0])
+    return pieces
+
+
+def test_split_users_matches_the_label_shuffle(monkeypatch):
+    """Shuffling an int64 index and gathering the labels seats every user as
+    shuffling the uint8 labels does, over several blocks, and draws the same
+    stream."""
+    monkeypatch.setattr(protocol, "LIGHT_BLOCK_USERS", 97)  # about ten light blocks
+    source = np.random.default_rng(4)
+    # Five groups: items held by at most 16 users are light, three items are heavy.
+    counts = source.permutation(np.concatenate([source.integers(1, 17, size=120), [40, 75, 200]]))
+    codes = np.sort(source.choice(1 << 20, size=len(counts), replace=False)).astype(np.uint64)
+    group = UserGroup(codes, counts)
+    sizes = [len(group) // 5] * 4 + [len(group) - 4 * (len(group) // 5)]
+
+    def split_all():
+        rngs = [np.random.default_rng(key) for key in range(20)]
+        return [split_users(group, sizes, rng) for rng in rngs], [rng.integers(2**63) for rng in rngs]
+
+    got, got_next = split_all()
+    monkeypatch.setattr(protocol, "_seat_light", _seat_light_by_label_shuffle)
+    expected, expected_next = split_all()
+    assert got_next == expected_next
+    for key, (parts, refs) in enumerate(zip(got, expected)):
+        for part, ref in zip(parts, refs, strict=True):
+            assert np.array_equal(part.codes, ref.codes), key
+            assert np.array_equal(part.counts, ref.counts), key
+
+
 # ---------------------------------------------------------------------------
 # level estimation
 

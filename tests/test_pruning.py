@@ -250,6 +250,30 @@ def test_prune_level_keeps_domain_when_agreement_misses_it():
     assert new_domain is domain  # agreed codes are not domain members
 
 
+@pytest.mark.parametrize(
+    "agreed",
+    [
+        {0x30, 0x3C, 0x20, 0x3F, 2**64 - 1},  # two domain members, three outside
+        {0x20, 0x24, 0x3F},  # none of the domain
+        {0x00, 0x04, 0x08, 0x0C, 0x30, 0x34, 0x38, 0x3C, 0x20},  # all of it
+    ],
+    ids=["some-and-outside", "none-of-the-domain", "all-of-the-domain"],
+)
+def test_prune_level_keeps_the_domain_minus_the_agreed_set(agreed, monkeypatch):
+    party, domain, package, params = _prune_setup()
+    monkeypatch.setattr(
+        pruning, "consensus_filter", lambda *args: pruning.ConsensusResult(1, set(agreed))
+    )
+    new_domain, _ = consensus_prune_level(
+        party, domain, package, party.all_users, params, run_key=555, gamma=0.0
+    )
+    expected = [bits for bits in domain.prefixes.tolist() if bits not in agreed]
+    if not expected:
+        expected = domain.prefixes.tolist()  # pruning would empty the level
+    assert new_domain.prefixes.dtype == np.uint64
+    assert new_domain.prefixes.tolist() == expected
+
+
 def test_prune_level_prunes_only_the_collapsed_frequent_prefix():
     # 0x00 holds a quarter of the receiver's users and 0x30 none. 0x30's
     # estimate falls below zero, so it tops the contrast ranking and the

@@ -2,10 +2,15 @@
 
 from dataclasses import fields, replace
 
+import concurrent.futures
+import functools
 import hashlib
 import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,18 +260,57 @@ def test_run_experiment_thread_count_does_not_change_results():
         assert _strip_wall_time(serial) == _strip_wall_time(threaded)
 
 
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_run_repetition_rows_match_on_a_four_thread_pool(mechanism):
+    """Repetitions mapped over a pool the test builds itself, so the check
+    does not depend on how many CPUs run_experiment may use here."""
+    config = _small_config(mechanism=mechanism, repetitions=4)
+    task = functools.partial(runner._run_repetition, config, None)
+    serial = list(map(task, range(config.repetitions)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside engine steps
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(task, range(config.repetitions), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+
+    def rows(by_repetition):
+        return [[replace(r, wall_time_ms=0.0) for r in records] for records in by_repetition]
+
+    assert rows(threaded) == rows(serial)
+
+
+def test_one_repetition_run_imports_neither_numpy_ma_nor_concurrent_futures():
+    """A serial run loads no module it does not use. fixed_t=20 makes packages
+    travel and prune at this scale, so the membership test runs."""
+    code = (
+        "import sys\n"
+        "from fedhh.runner import ExperimentConfig, run_experiment\n"
+        "run_experiment(ExperimentConfig(mechanism='taps', oracle='krr', scale=0.01,"
+        " repetitions=1, fixed_t=20))\n"
+        "print(sorted(m for m in ('numpy.ma', 'concurrent.futures') if m in sys.modules))\n"
+    )
+    src = str(Path(runner.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert child.stdout.strip() == "[]"
+
+
 def test_run_experiment_runs_one_repetition_in_the_calling_thread(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-repetition sweep built a thread pool")
 
     expected = _strip_wall_time(records_to_csv(run_experiment(_small_config(repetitions=1))))
-    monkeypatch.setattr(runner, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     records = run_experiment(_small_config(repetitions=1, threads=4))
     assert _strip_wall_time(records_to_csv(records)) == expected
 
 
 def test_run_experiment_starts_no_more_threads_than_usable_cpus(monkeypatch):
-    pools, real_pool = [], runner.ThreadPoolExecutor
+    pools, real_pool = [], concurrent.futures.ThreadPoolExecutor
 
     def spy(*args, **kwargs):
         pools.append(kwargs)
@@ -275,7 +319,7 @@ def test_run_experiment_starts_no_more_threads_than_usable_cpus(monkeypatch):
     expected = _strip_wall_time(records_to_csv(run_experiment(_small_config(repetitions=3))))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(runner, "ThreadPoolExecutor", spy)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
     records = run_experiment(_small_config(repetitions=3, threads=4))
     assert pools == []
     assert _strip_wall_time(records_to_csv(records)) == expected
