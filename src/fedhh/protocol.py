@@ -19,7 +19,9 @@ the rest heavy. One hypergeometric draw over the group sizes seats the light
 users; heavy items are halved recursively against the remaining seats and
 light users get permuted group labels, block by block. Given which seats
 hold light users, each part is uniformly permuted over its own seats, so the
-law is exact, and a split costs O(heavy items x g + light users). Each
+law is exact. Both parts count users into one row per group and one column
+per item, so each group comes out in code order, and a split costs
+O(items x g + heavy items x g + light users). Each
 group's oracle draw takes the group's distinct items, at their domain
 indices, with the number of users holding each. No step of an engine run
 therefore scales with the number of users: the only per-user labels are the
@@ -85,8 +87,9 @@ PAIR_BYTES = 16  # one uploaded (prefix, count) pair
 # split_users seats the users of an item held by at most this many users per
 # cut between groups one by one (by permutation) rather than halving its count.
 LIGHT_USERS_PER_CUT = 4
-# Light users are seated in blocks of about this many users, so the per-user
-# temporaries of a split stay this small.
+# Light users are seated in blocks of about this many users, and their
+# (group, item) counts taken this many cells at a time, so the temporaries of
+# a split stay this small.
 LIGHT_BLOCK_USERS = 1 << 14
 
 # A party must hold fewer users than this: numpy's multivariate
@@ -169,29 +172,28 @@ def split_users(group: UserGroup, sizes: list[int], rng: np.random.Generator) ->
     light and the heavy users are each uniformly permuted over their own
     seats, so the two parts are drawn apart and the law stays exact: heavy
     items by recursive halving against the seats left (:func:`_halve`), light
-    users by permuting group labels (:func:`_seat_light`). The cost is
-    O(heavy items x groups + light users); at most 256 groups.
+    users by permuting group labels (:func:`_seat_light`). The light part
+    fills a table with one row per group and one column per item, in code
+    order; each group's row takes its heavy counts from a halving leaf, and
+    the group is the nonzero entries of that row. The cost is
+    O(items x groups + heavy items x groups + light users).
     """
-    light = group.counts <= LIGHT_USERS_PER_CUT * (len(sizes) - 1)
-    light_seats = rng.multivariate_hypergeometric(sizes, int(group.counts[light].sum()))
-    heavy_parts = _halve(
-        UserGroup(group.codes[~light], group.counts[~light]),
-        (np.asarray(sizes) - light_seats).tolist(),
-        rng,
-    )
-    light_parts = _seat_light(UserGroup(group.codes[light], group.counts[light]), light_seats, rng)
+    light = np.where(group.counts <= LIGHT_USERS_PER_CUT * (len(sizes) - 1), group.counts, 0)
+    heavy = np.flatnonzero(light == 0)  # every item holds users, so these are the heavy ones
+    light_seats = rng.multivariate_hypergeometric(sizes, int(light.sum()))
+    # Halved by column: each leaf's codes are the columns of the heavy items it holds.
+    leaves = _halve(UserGroup(heavy, group.counts[heavy]), sizes - light_seats, rng)
     parts = []
-    for part in heavy_parts:
-        codes, counts = light_parts.pop(0)  # frees each group's light pieces once merged
-        if codes:
-            codes = np.concatenate([part.codes, *codes])
-            order = np.argsort(codes, kind="stable")  # merges ascending runs in linear time
-            part = UserGroup(codes[order], np.concatenate([part.counts, *counts])[order])
-        parts.append(part)
+    for light_row in _seat_light(light, light_seats, rng):
+        row = light_row.astype(np.int64)
+        leaf = leaves.pop(0)  # frees each leaf once its row is built
+        row[leaf.codes] = leaf.counts
+        held = np.flatnonzero(row)
+        parts.append(UserGroup(group.codes[held], row[held]))
     return parts
 
 
-def _halve(group: UserGroup, sizes: list[int], rng: np.random.Generator) -> list[UserGroup]:
+def _halve(group: UserGroup, sizes: np.ndarray, rng: np.random.Generator) -> list[UserGroup]:
     """Split by recursive halving: the first half of the sizes takes a
     multivariate hypergeometric sample of the users, the rest keep the
     remainder, and each side splits again. Items a side does not hold are
@@ -207,56 +209,40 @@ def _halve(group: UserGroup, sizes: list[int], rng: np.random.Generator) -> list
     return parts
 
 
-def _seat_light(
-    group: UserGroup, seats: np.ndarray, rng: np.random.Generator
-) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
-    """Seat the users in groups of ``seats`` users, uniformly at random, block by block.
+def _seat_light(counts: np.ndarray, seats: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Seat the users of items held by ``counts`` users (0 for items seated
+    elsewhere) in groups of ``seats`` users, uniformly at random, block by
+    block.
 
-    Returns each group's histogram as pieces to concatenate: ascending code
-    arrays, one per block that seats users there, and their user counts.
+    Returns the users of each group (row) and item (column). A group holds
+    at most all of a light item's users, so the table takes the smallest
+    dtype that holds the light cutoff: uint8 up to 64 groups.
 
     A block is a run of whole items holding about ``LIGHT_BLOCK_USERS`` users.
     It takes a multivariate hypergeometric share of the seats left (the last
-    block takes them all) and permutes that many uint8 group labels over its
-    users, listed by item. It shuffles an int64 index and gathers the labels
-    through it: numpy's shuffle makes the same swaps for any dtype, so the
-    labels land as if shuffled themselves, and numpy shuffles int64 items
-    faster than uint8 ones. A stable sort by label then lists each group's
-    users by item, and run lengths give its histogram. Taking consecutive
-    blocks is the chain rule of one permutation of all the users, and
-    temporaries stay O(block).
+    block takes them all) and permutes that many group labels over its users,
+    listed by item. Taking consecutive blocks is the chain rule of one
+    permutation of all the users. Each (label, item) pair's users are counted
+    ``LIGHT_BLOCK_USERS // g`` items at a time, so every temporary stays
+    O(``LIGHT_BLOCK_USERS``).
     """
-    n_groups = len(seats)
-    pieces: list[tuple[list[np.ndarray], list[np.ndarray]]] = [([], []) for _ in range(n_groups)]
-    n_items = len(group.codes)
+    g, n_items = len(seats), len(counts)
+    table = np.empty((g, n_items), np.min_scalar_type(LIGHT_USERS_PER_CUT * (g - 1)))
     # Block cuts strictly increase: a light item holds fewer than LIGHT_BLOCK_USERS users.
-    cuts = np.searchsorted(
-        np.cumsum(group.counts), np.arange(LIGHT_BLOCK_USERS, len(group), LIGHT_BLOCK_USERS)
-    )
-    bounds = [0, *cuts.tolist(), n_items] if n_items else [0]
-    labels = np.arange(n_groups, dtype=np.uint8)
+    ends = np.arange(LIGHT_BLOCK_USERS, counts.sum(), LIGHT_BLOCK_USERS)
+    bounds = [0, *np.searchsorted(np.cumsum(counts), ends).tolist(), n_items]
+    step = max(1, LIGHT_BLOCK_USERS // g)  # items counted at once: LIGHT_BLOCK_USERS cells
     left = seats
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        counts = group.counts[lo:hi]
-        take = left if hi == n_items else rng.multivariate_hypergeometric(left, int(counts.sum()))
+        block = counts[lo:hi]
+        take = left if hi == n_items else rng.multivariate_hypergeometric(left, int(block.sum()))
         left = left - take
-        block_labels = np.repeat(labels, take)
-        by_label = np.argsort(block_labels[rng.permutation(len(block_labels))], kind="stable")
-        items = np.repeat(np.arange(lo, hi), counts)[by_label]
-        first = np.cumsum(take) - take  # each group's first position in ``items``
-        new_run = np.ones(len(items), dtype=bool)
-        np.not_equal(items[1:], items[:-1], out=new_run[1:])
-        new_run[first[take > 0]] = True
-        starts = np.flatnonzero(new_run)
-        run_counts = np.append(starts[1:], len(items)) - starts
-        run_codes = group.codes[items[starts]]
-        edges = np.append(np.searchsorted(starts, first), len(starts)).tolist()
-        # Copies, so that split_users frees each group's pieces as it merges them.
-        for (piece_codes, piece_counts), a, b in zip(pieces, edges[:-1], edges[1:]):
-            if a < b:
-                piece_codes.append(run_codes[a:b].copy())
-                piece_counts.append(run_counts[a:b].copy())
-    return pieces
+        labels = np.repeat(np.arange(g), take)[rng.permutation(int(block.sum()))]
+        first = np.append(0, np.cumsum(block))  # each item's first user in the block, then the end
+        for a, b in zip(range(0, hi - lo, step), [*range(step, hi - lo, step), hi - lo]):
+            cells = labels[first[a] : first[b]] * (b - a) + np.repeat(np.arange(b - a), block[a:b])
+            table[:, lo + a : lo + b] = np.bincount(cells, minlength=g * (b - a)).reshape(g, -1)
+    return table
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from fedhh.protocol import (
     ProtocolError,
     ProtocolParams,
     UserGroup,
+    _even_sizes,
     _positive_entries,
     assign_groups,
     draw_groups,
@@ -257,39 +258,33 @@ def test_split_users_counts_are_hypergeometric(case, monkeypatch):
     assert_hypergeometric(samples, counts, sizes)
 
 
-def _seat_light_by_label_shuffle(group, seats, rng):
+def _seat_light_by_label_shuffle(counts, seats, rng):
     """Reference seating: each block shuffles its uint8 group labels
-    themselves, and each group's piece is a per-user histogram."""
+    themselves, and each group's users are counted by item."""
     cuts = np.searchsorted(
-        np.cumsum(group.counts),
-        np.arange(protocol.LIGHT_BLOCK_USERS, len(group), protocol.LIGHT_BLOCK_USERS),
+        np.cumsum(counts),
+        np.arange(protocol.LIGHT_BLOCK_USERS, counts.sum(), protocol.LIGHT_BLOCK_USERS),
     )
-    n_items = len(group.codes)
+    n_items = len(counts)
     bounds = [0, *cuts.tolist(), n_items] if n_items else [0]
-    pieces = [([], []) for _ in seats]
+    table = np.zeros((len(seats), n_items), dtype=np.int64)
     left = seats
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        counts = group.counts[lo:hi]
-        take = left if hi == n_items else rng.multivariate_hypergeometric(left, int(counts.sum()))
+        block = counts[lo:hi]
+        take = left if hi == n_items else rng.multivariate_hypergeometric(left, int(block.sum()))
         left = left - take
         labels = rng.permutation(np.repeat(np.arange(len(seats), dtype=np.uint8), take))
-        items = np.repeat(np.arange(hi - lo), counts)
-        for label, (codes, held) in enumerate(pieces):
-            hist = np.bincount(items[labels == label], minlength=hi - lo)
-            if hist.any():
-                codes.append(group.codes[lo:hi][hist > 0])
-                held.append(hist[hist > 0])
-    return pieces
+        items = np.repeat(np.arange(lo, hi), block)
+        for label, row in enumerate(table):
+            row += np.bincount(items[labels == label], minlength=n_items)
+    return table
 
 
-def test_split_users_matches_the_label_shuffle(monkeypatch):
-    """Shuffling an int64 index and gathering the labels seats every user as
-    shuffling the uint8 labels does, over several blocks, and draws the same
-    stream."""
-    monkeypatch.setattr(protocol, "LIGHT_BLOCK_USERS", 97)  # about ten light blocks
-    source = np.random.default_rng(4)
-    # Five groups: items held by at most 16 users are light, three items are heavy.
-    counts = source.permutation(np.concatenate([source.integers(1, 17, size=120), [40, 75, 200]]))
+def _assert_split_matches_the_label_shuffle(source, light_counts, monkeypatch):
+    """Splits of the light items ``light_counts`` plus three heavy ones into
+    five groups, item order and codes drawn from ``source``, equal the
+    reference seating for 20 keys, and so do the keys' next draws."""
+    counts = source.permutation(np.concatenate([light_counts, [40, 75, 200]]))
     codes = np.sort(source.choice(1 << 20, size=len(counts), replace=False)).astype(np.uint64)
     group = UserGroup(codes, counts)
     sizes = [len(group) // 5] * 4 + [len(group) - 4 * (len(group) // 5)]
@@ -306,6 +301,77 @@ def test_split_users_matches_the_label_shuffle(monkeypatch):
         for part, ref in zip(parts, refs, strict=True):
             assert np.array_equal(part.codes, ref.codes), key
             assert np.array_equal(part.counts, ref.counts), key
+
+
+def test_split_users_matches_the_label_shuffle(monkeypatch):
+    """Permuting the block's labels by an index and counting (label, item)
+    pairs seats every user as shuffling the uint8 labels does, over several
+    blocks, and draws the same stream."""
+    monkeypatch.setattr(protocol, "LIGHT_BLOCK_USERS", 97)  # about ten light blocks
+    # Five groups: items held by at most 16 users are light, three items are heavy.
+    source = np.random.default_rng(4)
+    light = source.integers(1, 17, size=120)
+    _assert_split_matches_the_label_shuffle(source, light, monkeypatch)
+
+
+def test_split_users_matches_the_label_shuffle_over_wide_blocks(monkeypatch):
+    """As above with light items of one or two users: a 97-user block spans
+    about 65 items and is counted 19 (97 // 5) items at a time."""
+    monkeypatch.setattr(protocol, "LIGHT_BLOCK_USERS", 97)
+    source = np.random.default_rng(5)
+    light = source.integers(1, 3, size=600)
+    _assert_split_matches_the_label_shuffle(source, light, monkeypatch)
+
+
+def _edge_case(n_groups, kind):
+    """Item counts and group sizes for one edge of the split's count table."""
+    cutoff = LIGHT_USERS_PER_CUT * (n_groups - 1)
+    light, heavy = [1, cutoff // 2, cutoff], [cutoff + 1, 40 * cutoff]
+    if kind == "all-light-in-one-group":  # every user of a cutoff-sized item lands in group 37
+        return [cutoff], [cutoff if row == 37 else 0 for row in range(n_groups)]
+    counts = {
+        "mixed": light + heavy,
+        "all-light": light,
+        "all-heavy": heavy,
+        "zero-size-groups": [1, 1],  # fewer users than groups
+        "billion-user-item": [2, 999_999_000, 3],
+        "wide-block": [1, 2] * 500 + heavy,  # one block of 1,500 light users over 1,000 items
+    }[kind]
+    return counts, _even_sizes(sum(counts), n_groups)
+
+
+_EDGE_CASES = [
+    *[(g, kind) for g in (2, 3, 24, 64) for kind in ("mixed", "all-light", "all-heavy")],
+    (24, "zero-size-groups"),
+    (64, "all-light-in-one-group"),
+    (3, "billion-user-item"),
+    (24, "wide-block"),
+    (64, "wide-block"),
+]
+
+
+@pytest.mark.parametrize("n_groups, kind", _EDGE_CASES)
+def test_split_users_table_edges(n_groups, kind):
+    """Every group gets exactly its size, every item's users are all seated,
+    and each group is a histogram: ascending uint64 codes, positive int64
+    counts. At 64 groups one group takes all 252 users of a light item, the
+    cutoff, in one uint8 cell; a wide block is counted in several chunks."""
+    counts, sizes = _edge_case(n_groups, kind)
+    assert sum(sizes) == sum(counts) and len(sizes) == n_groups
+    counts = np.asarray(counts, dtype=np.int64)
+    codes = np.uint64(2**64 - 1) - np.arange(len(counts), dtype=np.uint64)[::-1] * np.uint64(3)
+    for key in range(5):
+        parts = split_users(UserGroup(codes, counts), sizes, np.random.default_rng(key))
+        assert [len(part) for part in parts] == sizes
+        totals = np.zeros(len(codes), dtype=np.int64)
+        for part in parts:
+            assert part.codes.dtype == np.uint64 and part.counts.dtype == np.int64
+            assert np.all(part.codes[1:] > part.codes[:-1])
+            assert np.all(part.counts > 0)
+            totals[np.searchsorted(codes, part.codes)] += part.counts
+        assert np.array_equal(totals, counts)
+    if kind == "all-light-in-one-group":
+        assert parts[37].counts.tolist() == [252] and parts[37].codes[0] == np.uint64(2**64 - 1)
 
 
 # ---------------------------------------------------------------------------
