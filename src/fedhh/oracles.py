@@ -124,20 +124,28 @@ def perturb_counts(
 
     ``true_index`` holds domain indices and ``held`` the number of users at
     each entry, like ``np.bincount``'s weights (entries may repeat and are
-    summed); without ``held`` each entry is one user. ``user_index`` only has
-    to match the number of users in length. The counts depend on
-    ``stream_key`` and the users' histogram alone (see the module docstring
-    for the laws), so a histogram and its per-user expansion draw the same
-    counts, and the histogram costs O(entries + d).
+    summed); without ``held`` each entry is one user. Both must hold
+    integers, or ValueError is raised: a float is never truncated. ``held``
+    is read at its own integer width, so a group's int32 counts go in with
+    no copy. ``user_index`` only has to match the number of users in length.
+    The counts depend on ``stream_key`` and the users' histogram alone (see
+    the module docstring for the laws), so a histogram and its per-user
+    expansion draw the same counts, and the histogram costs O(entries + d).
     """
     d = config.domain_size
-    true = np.asarray(true_index, dtype=np.int64)
+    true = np.asarray(true_index)
+    if true.dtype.kind not in "iu":
+        raise ValueError(f"true_index must hold integers, got dtype {true.dtype}")
+    if true.dtype != np.int64:  # the range check below reads it as uint64
+        true = true.astype(np.int64)
     if true.ndim != 1:
         raise ValueError(f"true_index must be one-dimensional, got shape {true.shape}")
     if len(true) and true.view(np.uint64).max() >= d:  # negatives wrap to huge unsigned values
         raise ValueError(f"true_index values must lie in [0, {d})")
     if held is not None:
-        held = np.asarray(held, dtype=np.int64)
+        held = np.asarray(held)
+        if held.dtype.kind not in "iu":
+            raise ValueError(f"held must hold integers, got dtype {held.dtype}")
         if held.shape != true.shape:
             raise ValueError(f"held has shape {held.shape}, true_index has shape {true.shape}")
         if len(held) and held.min() < 0:

@@ -9,26 +9,28 @@ federated baseline (:func:`run_fedpem`) share; the single-party baseline is
 and ``run_tap`` is ``run_taps`` without the package exchange.
 
 Data contract: a party, a level group and a validation slice are all
-histograms, sorted distinct m-bit item codes with the number of users holding
-each, so prefix lookup costs O(distinct items) and grouping O(distinct items
-x g), not O(users). Splitting users into groups draws multivariate
+histograms, sorted distinct m-bit item codes (uint64) with the number of users
+holding each, so prefix lookup costs O(distinct items) and grouping O(distinct
+items x g), not O(users). A party counts its users in int64; every group that
+:func:`split_users` returns counts them in int32, 12 bytes per entry, since a
+party holds fewer than ``PARTY_USERS_LIMIT`` = 10**9 < 2**31 users and so no
+group count can wrap. Splitting users into groups draws multivariate
 hypergeometric counts, which has the same law as cutting a uniform random
-permutation of the users into consecutive chunks. :func:`split_users` draws
-it in two parts: items held by at most 4(g - 1) users for g groups are light,
-the rest heavy. One hypergeometric draw over the group sizes seats the light
+permutation of the users into consecutive chunks. :func:`split_users` draws it
+in two parts: items held by at most 4(g - 1) users for g groups are light, the
+rest heavy. One hypergeometric draw over the group sizes seats the light
 users; heavy items are halved recursively against the remaining seats and
-light users get permuted group labels, block by block. Given which seats
-hold light users, each part is uniformly permuted over its own seats, so the
-law is exact. Both parts count users into one row per group and one column
-per item, so each group comes out in code order, and a split costs
-O(items x g + heavy items x g + light users). Each
-group's oracle draw takes the group's distinct items, at their domain
-indices, with the number of users holding each. No step of an engine run
-therefore scales with the number of users: the only per-user labels are the
-light users', at most 4(g - 1) per light item. Candidate domains, rankings and
-selections are uint64 arrays of prefix bit values; :class:`PrefixCode`
-objects are built only for the uploads and the server's merged counts and
-top-k.
+light users get permuted group labels, block by block. Given which seats hold
+light users, each part is uniformly permuted over its own seats, so the law is
+exact. Both parts count users into one row per group and one column per item,
+so each group comes out in code order, and a split costs O(items x g + heavy
+items x g + light users). Each group's oracle draw takes the group's distinct
+items, at their domain indices, with the number of users holding each. No step
+of an engine run therefore scales with the number of users: the only per-user
+labels are the light users', at most 4(g - 1) per light item. Candidate
+domains, rankings and selections are uint64 arrays of prefix bit values;
+:class:`PrefixCode` objects are built only for the uploads and the server's
+merged counts and top-k.
 
 Engine contract: every engine is a function of read-only parties, the
 protocol parameters and a 64-bit ``run_key``. It writes to none of its
@@ -94,7 +96,7 @@ LIGHT_BLOCK_USERS = 1 << 14
 
 # A party must hold fewer users than this: numpy's multivariate
 # hypergeometric draw (method="marginals") that splits them into groups
-# rejects larger totals.
+# rejects larger totals. Below 2**31, so a group counts its users in int32.
 PARTY_USERS_LIMIT = 10**9
 
 
@@ -148,10 +150,13 @@ class ProtocolParams:
 @dataclass(frozen=True)
 class UserGroup:
     """Some of a party's users as a histogram: ascending distinct item
-    ``codes`` and the positive number of users holding each.
+    ``codes`` (uint64) and the positive number of users holding each.
 
-    ``len()`` is the number of users, so a group stands wherever a list of
-    its users would.
+    Groups drawn by :func:`split_users` hold int32 ``counts``: a group holds
+    fewer than ``PARTY_USERS_LIMIT`` = 10**9 < 2**31 users, so no count
+    wraps. A party's :attr:`PartyState.all_users` shares the party's int64
+    counts. ``len()`` is the number of users as a Python int, summed in
+    int64, so a group stands wherever a list of its users would.
     """
 
     codes: np.ndarray
@@ -177,6 +182,10 @@ def split_users(group: UserGroup, sizes: list[int], rng: np.random.Generator) ->
     order; each group's row takes its heavy counts from a halving leaf, and
     the group is the nonzero entries of that row. The cost is
     O(items x groups + heavy items x groups + light users).
+
+    Each returned group holds uint64 codes and int32 counts. The draw over
+    the sizes rejects a group of ``PARTY_USERS_LIMIT`` = 10**9 or more
+    users, and 10**9 < 2**31, so no count can wrap.
     """
     light = np.where(group.counts <= LIGHT_USERS_PER_CUT * (len(sizes) - 1), group.counts, 0)
     heavy = np.flatnonzero(light == 0)  # every item holds users, so these are the heavy ones
@@ -185,7 +194,7 @@ def split_users(group: UserGroup, sizes: list[int], rng: np.random.Generator) ->
     leaves = _halve(UserGroup(heavy, group.counts[heavy]), sizes - light_seats, rng)
     parts = []
     for light_row in _seat_light(light, light_seats, rng):
-        row = light_row.astype(np.int64)
+        row = light_row.astype(np.int32)  # heavy counts fit: every count is below 10**9
         leaf = leaves.pop(0)  # frees each leaf once its row is built
         row[leaf.codes] = leaf.counts
         held = np.flatnonzero(row)

@@ -396,6 +396,20 @@ def test_perturb_counts_rejects_bad_held():
         oracles.perturb_counts(config, 1, range(2), [0, 4], [1, 1])
     with pytest.raises(ValueError, match=r"\[0, 4\)"):
         oracles.perturb_counts(config, 1, range(2), [-1, 0], [1, 1])
+    # Non-integer input is rejected, not truncated to [1, 1] or [0, 3].
+    with pytest.raises(ValueError, match="held must hold integers"):
+        oracles.perturb_counts(config, 1, range(2), [0, 1], [1.5, 1.5])
+    with pytest.raises(ValueError, match="true_index must hold integers"):
+        oracles.perturb_counts(config, 1, range(2), [0.7, 3.9])
+
+
+def test_perturb_counts_reads_held_at_any_integer_width():
+    config = OracleConfig("olh", 1.0, 5)
+    true, held = np.array([0, 3, 4]), np.array([7, 1, 30])
+    expected = oracles.perturb_counts(config, 9, range(38), true, held)
+    for dtype in (np.int32, np.uint8, np.uint64):
+        got = oracles.perturb_counts(config, 9, range(38), true.astype(dtype), held.astype(dtype))
+        assert np.array_equal(got, expected), dtype
 
 
 def test_perturb_counts_krr_sums_to_n():

@@ -248,7 +248,7 @@ def test_split_users_counts_are_hypergeometric(case, monkeypatch):
         assert [len(part) for part in parts] == sizes
         matrix = np.zeros((len(sizes), len(codes)), dtype=np.int64)
         for row, part in enumerate(parts):
-            assert part.codes.dtype == np.uint64 and part.counts.dtype == np.int64
+            assert part.codes.dtype == np.uint64 and part.counts.dtype == np.int32
             assert np.all(part.codes[1:] > part.codes[:-1])
             assert np.all(part.counts > 0)
             matrix[row, np.searchsorted(codes, part.codes)] = part.counts
@@ -335,6 +335,7 @@ def _edge_case(n_groups, kind):
         "all-heavy": heavy,
         "zero-size-groups": [1, 1],  # fewer users than groups
         "billion-user-item": [2, 999_999_000, 3],
+        "party-limit": [1, 2, 3, PARTY_USERS_LIMIT - 7],  # a party's most users, one heavy item
         "wide-block": [1, 2] * 500 + heavy,  # one block of 1,500 light users over 1,000 items
     }[kind]
     return counts, _even_sizes(sum(counts), n_groups)
@@ -345,6 +346,8 @@ _EDGE_CASES = [
     (24, "zero-size-groups"),
     (64, "all-light-in-one-group"),
     (3, "billion-user-item"),
+    (2, "party-limit"),
+    (24, "party-limit"),
     (24, "wide-block"),
     (64, "wide-block"),
 ]
@@ -353,9 +356,11 @@ _EDGE_CASES = [
 @pytest.mark.parametrize("n_groups, kind", _EDGE_CASES)
 def test_split_users_table_edges(n_groups, kind):
     """Every group gets exactly its size, every item's users are all seated,
-    and each group is a histogram: ascending uint64 codes, positive int64
+    and each group is a histogram: ascending uint64 codes, positive int32
     counts. At 64 groups one group takes all 252 users of a light item, the
-    cutoff, in one uint8 cell; a wide block is counted in several chunks."""
+    cutoff, in one uint8 cell; a wide block is counted in several chunks. A
+    party of PARTY_USERS_LIMIT - 1 users, the most int32 counts must hold,
+    splits into groups and a group into validation slices exactly."""
     counts, sizes = _edge_case(n_groups, kind)
     assert sum(sizes) == sum(counts) and len(sizes) == n_groups
     counts = np.asarray(counts, dtype=np.int64)
@@ -365,11 +370,18 @@ def test_split_users_table_edges(n_groups, kind):
         assert [len(part) for part in parts] == sizes
         totals = np.zeros(len(codes), dtype=np.int64)
         for part in parts:
-            assert part.codes.dtype == np.uint64 and part.counts.dtype == np.int64
+            assert part.codes.dtype == np.uint64 and part.counts.dtype == np.int32
             assert np.all(part.codes[1:] > part.codes[:-1])
             assert np.all(part.counts > 0)
             totals[np.searchsorted(codes, part.codes)] += part.counts
         assert np.array_equal(totals, counts)
+        if kind == "party-limit":  # as consensus pruning slices a group
+            n_val = len(parts[0]) // 10
+            slices = [n_val, n_val, len(parts[0]) - 2 * n_val]
+            for part, size in zip(split_users(parts[0], slices, np.random.default_rng(key)), slices):
+                assert part.counts.dtype == np.int32
+                assert type(len(part)) is int and len(part) == size
+                assert int(part.counts.astype(np.int64).sum()) == size
     if kind == "all-light-in-one-group":
         assert parts[37].counts.tolist() == [252] and parts[37].codes[0] == np.uint64(2**64 - 1)
 
@@ -646,6 +658,10 @@ def test_engines_give_the_same_result_with_groups_passed_or_drawn(engine, mode):
     params = ProtocolParams(m=16, g=8, g_s=2, k=4, epsilon=3.0, dividing_ratio=0.2)
     # Grouping reads neither epsilon nor k: one draw serves every job.
     groups = draw_groups(parties, params, 21, mode)
+    # Every level group holds uint64 codes and int32 counts.
+    assert {(g.codes.dtype, g.counts.dtype) for levels in groups.values() for g in levels.values()} == {
+        (np.dtype(np.uint64), np.dtype(np.int32))
+    }
     for epsilon, k in ((3.0, 4), (1.0, 6)):
         job = dataclasses.replace(params, epsilon=epsilon, k=k)
         assert engine(parties, job, 21, groups) == engine(parties, job, 21)

@@ -281,13 +281,15 @@ def test_run_repetition_rows_match_on_a_four_thread_pool(mechanism):
     assert rows(threaded) == rows(serial)
 
 
-def test_one_repetition_run_imports_neither_numpy_ma_nor_concurrent_futures():
+@pytest.mark.parametrize("mechanism", runner.MECHANISMS)
+def test_one_repetition_run_imports_neither_numpy_ma_nor_concurrent_futures(mechanism):
     """A serial run loads no module it does not use. fixed_t=20 makes packages
-    travel and prune at this scale, so the membership test runs."""
+    travel and prune at this scale, so the membership test runs for taps;
+    pem pools its parties, whose np.unique must not load numpy.ma either."""
     code = (
         "import sys\n"
         "from fedhh.runner import ExperimentConfig, run_experiment\n"
-        "run_experiment(ExperimentConfig(mechanism='taps', oracle='krr', scale=0.01,"
+        f"run_experiment(ExperimentConfig(mechanism={mechanism!r}, oracle='krr', scale=0.01,"
         " repetitions=1, fixed_t=20))\n"
         "print(sorted(m for m in ('numpy.ma', 'concurrent.futures') if m in sys.modules))\n"
     )
