@@ -1,12 +1,13 @@
 """Multi-party prefix-trie protocol engines.
 
-Covers user grouping, the per-level estimate step, the level walk that every
-engine runs (build the level's domain, optionally prune it, estimate,
-extend) and the walk-and-merge that phase I (:func:`run_stc`) and the
-federated baseline (:func:`run_fedpem`) share; the single-party baseline is
-``run_fedpem`` on one party. The two-phase adaptive mechanisms are in
-:mod:`fedhh.pruning`: ``run_taps`` walks phase II with consensus pruning,
-and ``run_tap`` is ``run_taps`` without the package exchange.
+Covers user grouping, the per-level estimate step and the one level-major
+walk that every engine runs: at each level, each party in turn builds its
+domain, optionally prunes it with the previous party's ranked table at that
+level, estimates and extends. Phase I (:func:`run_stc`) and the federated
+baseline (:func:`run_fedpem`) merge the walk's uploads; the single-party
+baseline is ``run_fedpem`` on one party. The two-phase adaptive mechanisms
+are in :mod:`fedhh.pruning`: ``run_taps`` walks phase II with consensus
+pruning, and ``run_tap`` is ``run_taps`` without the package exchange.
 
 Data contract: a party, a level group and a validation slice are all
 histograms, sorted distinct m-bit item codes (uint64) with the number of users
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -377,13 +377,9 @@ def draw_groups(
 ) -> dict[int, LevelGroups]:
     """Every party's level groups by party id: :func:`assign_groups` in ``mode``.
 
-    Every engine's groups are drawn here. Raises ProtocolError when two
-    parties share an id, since their groups would collide.
+    Every engine's groups are drawn here.
     """
-    groups = {party.party_id: assign_groups(party, params, run_key, mode) for party in parties}
-    if len(groups) < len(parties):
-        raise ProtocolError("party ids must be distinct")
-    return groups
+    return {party.party_id: assign_groups(party, params, run_key, mode) for party in parties}
 
 
 def estimate_level(
@@ -454,36 +450,6 @@ def _positive_entries(
     ]
 
 
-def _level_walk(
-    party: PartyState,
-    groups: LevelGroups,
-    params: ProtocolParams,
-    run_key: int,
-    levels: range,
-    parents: np.ndarray = ROOT,
-    prune=None,
-) -> Iterator[tuple[int, RankedEstimates, int]]:
-    """Walk one party through ``levels``, extending ``parents`` level by level.
-
-    At each level h the walk builds the candidate domain from the previous
-    selection, lets ``prune(h, domain, group)`` (when given) return a smaller
-    domain and the users left for the estimate, estimates the level on its
-    ``SUB_MAIN`` stream and extends. Yields (h, ranked estimates, t) per level;
-    the last level's top-t selection is the party's upload.
-    """
-    l_prev = 0 if levels[0] == 1 else level_length(levels[0] - 1, params.m, params.g)
-    for h in levels:
-        domain = construct_domain(parents, level_length(h, params.m, params.g), l_prev)
-        group = groups[h]
-        if prune is not None:
-            domain, group = prune(h, domain, group)
-        key = derive_key(run_key, party.party_id, h, SUB_MAIN)
-        ranked = estimate_level(party, domain, group, params, key)
-        parents, t = _select_extension(ranked, params)
-        l_prev = domain.level_length
-        yield h, ranked, t
-
-
 def _merge_reports(
     reports: list[tuple[int, list[tuple[PrefixCode, float]]]],
     k: int,
@@ -511,23 +477,35 @@ def _merge_reports(
     )
 
 
-def _walk_and_merge(
+def _walk(
     parties: list[PartyState],
     params: ProtocolParams,
     run_key: int,
     levels: range,
     groups: dict[int, LevelGroups],
-) -> RunResult:
-    """Walk each party through ``levels`` on ``groups[party.party_id]`` and
-    merge the uploads, each party's last selection with positive counts.
+    parents: np.ndarray = ROOT,
+    prune=None,
+) -> dict[int, list[tuple[PrefixCode, float]]]:
+    """Walk every party through ``levels``, level by level, extending
+    ``parents``; returns each party's upload by party id, its last level's
+    top-t selection with positive counts.
+
+    At each level h the parties take turns in list order: each builds its
+    candidate domain from its previous selection, estimates the level on its
+    ``SUB_MAIN`` stream over ``groups[party.party_id][h]`` and extends. From
+    the second party on, ``prune(h, party, domain, group, sender,
+    sender_ranked)`` (when given) sees the previous party in the list and its
+    ranked table at h, and returns the domain and the users for the estimate.
 
     Every engine runs this before its first level (``run_taps`` through
     ``run_stc``), so it checks a run's inputs: raises ProtocolError for no
-    parties, a party whose item length is not ``params.m``, or a party that
-    ``groups`` lacks.
+    parties, two parties with one id, a party whose item length is not
+    ``params.m``, or a party that ``groups`` lacks.
     """
     if not parties:
         raise ProtocolError("need at least one party")
+    if len({party.party_id for party in parties}) < len(parties):
+        raise ProtocolError("party ids must be distinct")
     for party in parties:
         if party.item_length != params.m:
             raise ProtocolError(
@@ -535,12 +513,24 @@ def _walk_and_merge(
             )
         if party.party_id not in groups:
             raise ProtocolError(f"no level groups given for party {party.party_id}")
-    reports = []
-    for party in parties:
-        for _, ranked, t in _level_walk(party, groups[party.party_id], params, run_key, levels):
-            pass
-        reports.append((party.party_id, _positive_entries(party, ranked, t)))
-    return _merge_reports(reports, params.k)
+    selections = [parents] * len(parties)
+    uploads = {}
+    l_prev = 0 if levels[0] == 1 else level_length(levels[0] - 1, params.m, params.g)
+    for h in levels:
+        length = level_length(h, params.m, params.g)
+        for i, party in enumerate(parties):
+            domain = construct_domain(selections[i], length, l_prev)
+            group = groups[party.party_id][h]
+            if prune is not None and i > 0:
+                # ranked is still the previous party's table at this level.
+                domain, group = prune(h, party, domain, group, parties[i - 1], ranked)
+            key = derive_key(run_key, party.party_id, h, SUB_MAIN)
+            ranked = estimate_level(party, domain, group, params, key)
+            selections[i], t = _select_extension(ranked, params)
+            if h == levels[-1]:
+                uploads[party.party_id] = _positive_entries(party, ranked, t)
+        l_prev = length
+    return uploads
 
 
 def run_stc(
@@ -549,9 +539,10 @@ def run_stc(
     run_key: int,
     groups: dict[int, LevelGroups],
 ) -> RunResult:
-    """Phase I: each party walks levels 1..g_s on ``groups[party.party_id]``;
-    the merged top-k is the shared shallow trie (empty if no count is positive)."""
-    return _walk_and_merge(parties, params, run_key, range(1, params.g_s + 1), groups)
+    """Phase I: the parties walk levels 1..g_s on their ``groups``; the merged
+    top-k is the shared shallow trie (empty if no count is positive)."""
+    uploads = _walk(parties, params, run_key, range(1, params.g_s + 1), groups)
+    return _merge_reports(list(uploads.items()), params.k)
 
 
 def run_pem_single(
@@ -577,4 +568,5 @@ def run_fedpem(
     if groups is None:
         groups = draw_groups(parties, params, run_key, "pem")
     pem_params = replace(params, fixed_t=params.fixed_t if params.fixed_t is not None else params.k)
-    return _walk_and_merge(parties, pem_params, run_key, range(1, params.g + 1), groups)
+    uploads = _walk(parties, pem_params, run_key, range(1, params.g + 1), groups)
+    return _merge_reports(list(uploads.items()), params.k)

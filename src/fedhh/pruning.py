@@ -1,19 +1,20 @@
 """The two-phase adaptive mechanisms: TAP, and TAPS with consensus pruning.
 
 Both share phase I (:func:`fedhh.protocol.run_stc`) and walk phase II on the
-protocol's level walk. ``run_taps`` passes the walk a prune step;
-``run_tap`` is ``run_taps`` with a zero validation budget, so no package
-travels and no level is pruned.
+protocol's level-major walk. ``run_taps`` passes the walk a prune hook;
+``run_tap`` is ``run_taps`` with a zero validation budget, so it passes no
+hook and no level is pruned.
 
-During phase II, parties run in descending population order. At a fixed set
-of active levels each party packages the extremes of its ranked level table
-(its 2k most and 2k least frequent candidates) for the next party. The
-receiver runs one agreement test per package side, each on its own small
-validation slice: it re-estimates that side's prefixes and ranks them most
-prunable first, against the sender's ascending list (infrequent side) or a
-contrast ranking of collapsed local support (frequent side). Prefixes that
-pass consensus are pruned from the candidate domain before the main estimate,
-so the per-user signal concentrates on fewer candidates.
+During phase II, at each level the parties take turns in descending
+population order. At a fixed set of active levels each party from the second
+on receives a package built from the previous party's ranked table at the
+same level: its 2k most and 2k least frequent candidates. The receiver runs
+one agreement test per package side, each on its own small validation slice:
+it re-estimates that side's prefixes and ranks them most prunable first,
+against the sender's ascending list (infrequent side) or a contrast ranking
+of collapsed local support (frequent side). Prefixes that pass consensus are
+pruned from the candidate domain before the main estimate, so the per-user
+signal concentrates on fewer candidates.
 
 The consensus size k' maximizes |agreement| / (k' (1+eps)^k') - gamma a^2
 with a = (k' - |agreement| + 1) / (k' + 1), where gamma grows as the sending
@@ -42,9 +43,8 @@ from fedhh.protocol import (
     ProtocolParams,
     RunResult,
     UserGroup,
-    _level_walk,
     _merge_reports,
-    _positive_entries,
+    _walk,
     draw_groups,
     estimate_level,
     run_stc,
@@ -156,7 +156,7 @@ def contrast_scores(
 def consensus_prune_level(
     party: PartyState,
     domain: CandidateDomain,
-    package: PruningPackage | None,
+    package: PruningPackage,
     group: UserGroup,
     params: ProtocolParams,
     run_key: int,
@@ -166,11 +166,11 @@ def consensus_prune_level(
 
     Two validation slices of ``dividing_ratio`` of the group's users each are
     drawn uniformly at random, one per test. Returns the (possibly
-    unchanged) domain and the users left for the main estimate. With no
-    package or a zero validation budget this is a no-op.
+    unchanged) domain and the users left for the main estimate. With a zero
+    validation budget this is a no-op.
     """
     n_val = int(len(group) * params.dividing_ratio)
-    if package is None or n_val == 0:
+    if n_val == 0:
         return domain, group
     rng = np.random.default_rng(derive_key(run_key, party.party_id, package.level, SUB_SPLIT))
     val0, val1, main = split_users(group, [n_val, n_val, len(group) - 2 * n_val], rng)
@@ -212,12 +212,13 @@ def run_taps(
 
     Phase I builds the shared shallow trie. In phase II every party privately
     extends it through the remaining levels with adaptive extension and
-    uploads its final candidates and counts for the server merge. Parties run
-    in descending population order; at every active level each non-final
-    party emits a pruning package consumed by its successor at the same
-    level. With a single party or a zero ``dividing_ratio`` no package
-    travels and this is the unpruned mechanism (:func:`run_tap`). Both phases
-    walk each party's ``groups``, drawn in mode "tap" when None.
+    uploads its final candidates and counts for the server merge. At each
+    level the parties take turns in descending population order; at an
+    active level each party from the second on prunes with a package of the
+    previous party's ranked table at that level. With a single party or a
+    zero ``dividing_ratio`` no package travels and this is the unpruned
+    mechanism (:func:`run_tap`). Both phases walk each party's ``groups``,
+    drawn in mode "tap" when None.
     """
     if groups is None:
         groups = draw_groups(parties, params, run_key, "tap")
@@ -227,37 +228,24 @@ def run_taps(
         reports = [(party.party_id, []) for party in parties]
         return _merge_reports(reports, params.k, shared.report_pairs)
     shared_bits = np.array([code.bits for code in shared.topk], dtype=np.uint64)
-    ordered = order_parties(parties)
     total_users = sum(p.n_users for p in parties)
     # A zero validation budget disables the exchange outright: no level is
-    # active, so no package is emitted and the prune step is a no-op. This is
-    # the unpruned mechanism, run_tap.
+    # active and the walk gets no prune hook. This is the unpruned mechanism, run_tap.
     active = set(active_levels(params)) if params.dividing_ratio > 0 else set()
-    phase_two = range(params.g_s + 1, params.g + 1)
-    incoming: dict[int, PruningPackage] = {}
-    gamma = 0.0  # the first party receives no package
-    uploads = {}
     package_pairs = 0
-    for position, party in enumerate(ordered):
-        outgoing: dict[int, PruningPackage] = {}
 
-        def prune(h, domain, group):
-            return consensus_prune_level(
-                party, domain, incoming.get(h), group, params, run_key, gamma
-            )
+    def prune(h, party, domain, group, sender, sender_ranked):
+        nonlocal package_pairs
+        package = select_pruning_candidates(sender_ranked, params.k, h) if h in active else None
+        if package is None:
+            return domain, group
+        package_pairs += package.n_pairs
+        gamma = (1.0 - sender.n_users / total_users) ** 2
+        return consensus_prune_level(party, domain, package, group, params, run_key, gamma)
 
-        walk = _level_walk(
-            party, groups[party.party_id], params, run_key, phase_two, shared_bits, prune
-        )
-        for h, ranked, t in walk:
-            if h in active and position < len(ordered) - 1:
-                package = select_pruning_candidates(ranked, params.k, h)
-                if package is not None:
-                    outgoing[h] = package
-                    package_pairs += package.n_pairs
-        uploads[party.party_id] = _positive_entries(party, ranked, t)
-        incoming = outgoing
-        gamma = (1.0 - party.n_users / total_users) ** 2
+    phase_two = range(params.g_s + 1, params.g + 1)
+    hook = prune if active else None
+    uploads = _walk(order_parties(parties), params, run_key, phase_two, groups, shared_bits, hook)
     reports = [(party.party_id, uploads[party.party_id]) for party in parties]
     return _merge_reports(reports, params.k, shared.report_pairs, package_pairs)
 

@@ -9,7 +9,7 @@ import pytest
 
 from fedhh.datagen import PartySpec, exact_topk, generate_syn
 from fedhh.metrics import f1_score
-from fedhh.prefix_codec import ROOT, CandidateDomain, PrefixCode, construct_domain
+from fedhh.prefix_codec import ROOT, CandidateDomain, PrefixCode, construct_domain, level_length
 from fedhh import oracles, protocol
 from fedhh.protocol import (
     LIGHT_USERS_PER_CUT,
@@ -691,6 +691,52 @@ def test_engines_reject_groups_that_lack_a_party(engine, mode):
     groups = draw_groups(parties[1:], params, 5, mode)
     with pytest.raises(ProtocolError, match="no level groups given for party 0"):
         engine(parties, params, 5, groups)
+
+
+@pytest.mark.parametrize("passed", [True, False], ids=["groups-passed", "groups-drawn"])
+@pytest.mark.parametrize(
+    "engine, mode",
+    [(run_fedpem, "pem"), (run_tap, "tap"), (run_taps, "tap")],
+    ids=["fedpem", "tap", "taps"],
+)
+def test_engines_reject_repeated_party_ids(engine, mode, passed):
+    # Sharing an id, the second party would walk the first one's groups.
+    parties = [_party(0, np.arange(300) % 40, 16), _party(0, np.arange(200) % 30, 16)]
+    params = _params(m=16, g=8, g_s=2)
+    groups = {0: assign_groups(parties[0], params, 5, mode)} if passed else None
+    with pytest.raises(ProtocolError, match="party ids must be distinct"):
+        engine(parties, params, 5, groups)
+
+
+def test_walk_hands_each_party_the_previous_partys_table_at_the_same_level(monkeypatch):
+    parties = [_party(i, (np.arange(600) * (i + 3)) % 50, 8) for i in (2, 0, 1)]
+    params = _params(m=8, g=3, g_s=1)
+    groups = draw_groups(parties, params, 9, "pem")
+    tables = {}  # (party id, prefix length) -> the party's ranked table there
+
+    def recording_estimate(party, domain, *args):
+        ranked = estimate_level(party, domain, *args)
+        tables[party.party_id, domain.level_length] = ranked
+        return ranked
+
+    calls = []
+
+    def prune(h, party, domain, group, sender, sender_ranked):
+        assert sender_ranked is tables[sender.party_id, sender_ranked.level_length]
+        calls.append((h, party.party_id, sender.party_id, sender_ranked.level_length, domain.level_length))
+        return domain, group
+
+    monkeypatch.setattr(protocol, "estimate_level", recording_estimate)
+    uploads = protocol._walk(parties, params, 9, range(1, 4), groups, prune=prune)
+    lengths = [level_length(h, params.m, params.g) for h in (1, 2, 3)]
+    # Level by level; the first party is never pruned; each receiver gets the
+    # previous party's table from the level it is on.
+    assert calls == [
+        (h, receiver, sender, length, length)
+        for h, length in zip((1, 2, 3), lengths)
+        for sender, receiver in ((2, 0), (0, 1))
+    ]
+    assert list(uploads) == [2, 0, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -218,16 +218,6 @@ def test_prune_level_removes_agreed_absent_prefix():
     assert len(main) == 3000 - 2 * 300  # both validation slices spent
 
 
-def test_prune_level_without_package_is_a_no_op():
-    party, domain, _, params = _prune_setup()
-    group = party.all_users
-    new_domain, main = consensus_prune_level(
-        party, domain, None, group, params, run_key=1, gamma=0.0
-    )
-    assert new_domain is domain
-    assert main is group
-
-
 def test_prune_level_zero_budget_is_a_no_op():
     party, domain, package, params = _prune_setup()
     from dataclasses import replace
