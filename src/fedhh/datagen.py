@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedhh.prefix_codec import PrefixCode
 from fedhh.protocol import PartyState, pool_counts
 
 LAWS = ("zipf", "poisson")
@@ -64,13 +63,11 @@ class PartySpec:
 
 @dataclass
 class GroundTruth:
-    """Exact population-level top-k item codes with their global frequencies."""
+    """Exact population-level top-k: item ``codes`` (uint64) by descending
+    frequency, ascending code on ties, and their global ``frequencies``."""
 
-    topk: list[tuple[PrefixCode, float]]
-
-    @property
-    def codes(self) -> list[PrefixCode]:
-        return [code for code, _ in self.topk]
+    codes: np.ndarray
+    frequencies: np.ndarray
 
 
 def syn_default_specs() -> list[PartySpec]:
@@ -220,11 +217,8 @@ def exact_topk(parties: list[PartyState], k: int) -> GroundTruth:
         raise ValueError("need at least one party")
     if k < 1:
         raise ValueError("k must be positive")
-    m = parties[0].item_length
-    if any(party.item_length != m for party in parties):
+    if any(party.item_length != parties[0].item_length for party in parties):
         raise ValueError("parties disagree on item length")
     codes, counts = pool_counts(parties)
     order = np.lexsort((codes, -counts))[:k]
-    total = int(counts.sum())
-    topk = [(PrefixCode(int(codes[i]), m), counts[i] / total) for i in order]
-    return GroundTruth(topk=topk)
+    return GroundTruth(codes[order], counts[order] / counts.sum())

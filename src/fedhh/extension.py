@@ -22,7 +22,7 @@ SQRT2 = math.sqrt(2.0)
 class RankedEstimates:
     """Per-prefix estimates sorted by descending frequency.
 
-    ``prefixes`` holds the ``level_length``-bit prefix values (uint64) and
+    ``prefixes`` holds one level's prefix values (uint64) and
     ``frequencies`` their estimates, aligned. Ties are broken by ascending
     prefix value, so the order is deterministic. ``sigma`` is the standard
     deviation of the producing oracle at the reporting group's size and the
@@ -32,7 +32,6 @@ class RankedEstimates:
     prefixes: np.ndarray
     frequencies: np.ndarray
     sigma: float
-    level_length: int
 
     def __post_init__(self):
         if self.sigma <= 0:

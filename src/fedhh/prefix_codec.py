@@ -6,9 +6,9 @@ machine word. Level h of a trie with granularity g holds prefixes of length
 ceil(h*m/g). Tie-breaking everywhere is by ascending numeric prefix value,
 which keeps every run deterministic.
 
-Inside the engines a prefix is its bit value in a uint64 array, and the level
-it belongs to carries its length; :class:`PrefixCode` pairs the two for
-results that leave the engines.
+Throughout the program a prefix is its bit value in a uint64 array, and the
+level it belongs to carries its length; :class:`PrefixCode` pairs the two
+only where the runner scores a result.
 """
 
 from __future__ import annotations

@@ -28,10 +28,11 @@ so each group comes out in code order, and a split costs O(items x g + heavy
 items x g + light users). Each group's oracle draw takes the group's distinct
 items, at their domain indices, with the number of users holding each. No step
 of an engine run therefore scales with the number of users: the only per-user
-labels are the light users', at most 4(g - 1) per light item. Candidate
-domains, rankings and selections are uint64 arrays of prefix bit values;
-:class:`PrefixCode` objects are built only for the uploads and the server's
-merged counts and top-k.
+labels are the light users', at most 4(g - 1) per light item. A prefix is
+its bit value throughout, and the level fixes its length: candidate domains,
+rankings, selections and the server's top-k are uint64 arrays, and an upload
+or the server's merged table is an array of (prefix, count) records of dtype
+:data:`PAIR`.
 
 Engine contract: every engine is a function of read-only parties, the
 protocol parameters and a 64-bit ``run_key``. It writes to none of its
@@ -56,7 +57,6 @@ user reports exactly once per run.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -69,7 +69,6 @@ from fedhh.prefix_codec import (
     MAX_DOMAIN_SIZE,
     ROOT,
     CandidateDomain,
-    PrefixCode,
     _read_only,
     construct_domain,
     level_length,
@@ -84,7 +83,9 @@ SUB_VAL1 = 2
 SUB_SPLIT = 3
 _TAG_GROUPING = 101
 
-PAIR_BYTES = 16  # one uploaded (prefix, count) pair
+# One uploaded (prefix, count) record; a pair costs its 16 bytes on the wire.
+PAIR = np.dtype([("prefix", np.uint64), ("count", np.float64)])
+PAIR_BYTES = PAIR.itemsize
 
 # split_users seats the users of an item held by at most this many users per
 # cut between groups one by one (by permutation) rather than halving its count.
@@ -150,20 +151,22 @@ class ProtocolParams:
 @dataclass(frozen=True)
 class UserGroup:
     """Some of a party's users as a histogram: ascending distinct item
-    ``codes`` (uint64) and the positive number of users holding each.
+    ``codes`` (uint64), the positive number of users holding each, and
+    ``n_users``, their sum, recorded where the group is built.
 
     Groups drawn by :func:`split_users` hold int32 ``counts``: a group holds
     fewer than ``PARTY_USERS_LIMIT`` = 10**9 < 2**31 users, so no count
     wraps. A party's :attr:`PartyState.all_users` shares the party's int64
-    counts. ``len()`` is the number of users as a Python int, summed in
-    int64, so a group stands wherever a list of its users would.
+    counts. ``len()`` is ``n_users``, so a group stands wherever a list of
+    its users would.
     """
 
     codes: np.ndarray
     counts: np.ndarray
+    n_users: int
 
     def __len__(self) -> int:
-        return int(self.counts.sum())
+        return self.n_users
 
 
 def split_users(group: UserGroup, sizes: list[int], rng: np.random.Generator) -> list[UserGroup]:
@@ -190,31 +193,34 @@ def split_users(group: UserGroup, sizes: list[int], rng: np.random.Generator) ->
     light = np.where(group.counts <= LIGHT_USERS_PER_CUT * (len(sizes) - 1), group.counts, 0)
     heavy = np.flatnonzero(light == 0)  # every item holds users, so these are the heavy ones
     light_seats = rng.multivariate_hypergeometric(sizes, int(light.sum()))
-    # Halved by column: each leaf's codes are the columns of the heavy items it holds.
-    leaves = _halve(UserGroup(heavy, group.counts[heavy]), sizes - light_seats, rng)
+    # Halved by column: each leaf's columns are the heavy items it holds.
+    leaves = _halve(heavy, group.counts[heavy], sizes - light_seats, rng)
     parts = []
-    for light_row in _seat_light(light, light_seats, rng):
+    for size, light_row in zip(sizes, _seat_light(light, light_seats, rng)):
         row = light_row.astype(np.int32)  # heavy counts fit: every count is below 10**9
-        leaf = leaves.pop(0)  # frees each leaf once its row is built
-        row[leaf.codes] = leaf.counts
+        columns, counts = leaves.pop(0)  # frees each leaf once its row is built
+        row[columns] = counts
         held = np.flatnonzero(row)
-        parts.append(UserGroup(group.codes[held], row[held]))
+        parts.append(UserGroup(group.codes[held], row[held], size))
     return parts
 
 
-def _halve(group: UserGroup, sizes: np.ndarray, rng: np.random.Generator) -> list[UserGroup]:
-    """Split by recursive halving: the first half of the sizes takes a
-    multivariate hypergeometric sample of the users, the rest keep the
-    remainder, and each side splits again. Items a side does not hold are
-    dropped from it, so the cost shrinks with depth."""
-    if len(sizes) == 1 or len(group.codes) == 0:
-        return [group] * len(sizes)
+def _halve(
+    columns: np.ndarray, counts: np.ndarray, sizes: np.ndarray, rng: np.random.Generator
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split the users of ``columns`` (``counts`` each) by recursive halving:
+    the first half of the sizes takes a multivariate hypergeometric sample of
+    the users, the rest keep the remainder, and each side splits again. Items a
+    side does not hold are dropped from it, so the cost shrinks with depth.
+    Returns each size's (columns, counts)."""
+    if len(sizes) == 1 or len(columns) == 0:
+        return [(columns, counts)] * len(sizes)
     half = len(sizes) // 2
-    left = rng.multivariate_hypergeometric(group.counts, sum(sizes[:half]), method="marginals")
+    left = rng.multivariate_hypergeometric(counts, sum(sizes[:half]), method="marginals")
     parts = []
-    for counts, part_sizes in ((left, sizes[:half]), (group.counts - left, sizes[half:])):
-        held = counts > 0
-        parts += _halve(UserGroup(group.codes[held], counts[held]), part_sizes, rng)
+    for part, part_sizes in ((left, sizes[:half]), (counts - left, sizes[half:])):
+        held = part > 0
+        parts += _halve(columns[held], part[held], part_sizes, rng)
     return parts
 
 
@@ -258,9 +264,11 @@ def _seat_light(counts: np.ndarray, seats: np.ndarray, rng: np.random.Generator)
 class PartyState:
     """One party's dataset as a histogram over its items.
 
-    ``codes`` are the party's ascending distinct m-bit item codes (uint64)
-    and ``counts`` the number of users holding each (positive int64), so a
-    party costs memory in its distinct items, not its users. The dataclass
+    ``codes`` are the party's ascending distinct m-bit item codes (stored as
+    uint64) and ``counts`` the number of users holding each (positive, stored
+    as int64), so a party costs memory in its distinct items, not its users.
+    Both must hold integers and the codes must not be negative, or ValueError
+    is raised: a value is never truncated or wrapped. The dataclass
     is frozen and both arrays are read-only views, so engines can share a
     party across runs and threads; per-run state (groups, uploads) lives in
     the engines and their :class:`RunResult`.
@@ -273,10 +281,7 @@ class PartyState:
     n_users: int = field(init=False)
 
     def __post_init__(self):
-        codes = _read_only(np.asarray(self.codes, dtype=np.uint64))
-        counts = _read_only(np.asarray(self.counts, dtype=np.int64))
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "counts", counts)
+        codes, counts = np.asarray(self.codes), np.asarray(self.counts)
         if codes.ndim != 1 or codes.shape != counts.shape:
             raise ValueError(
                 "codes and counts must be equal-length vectors, "
@@ -284,8 +289,17 @@ class PartyState:
             )
         if len(codes) == 0:
             raise ValueError(f"party {self.party_id} has no users")
+        for name, values in (("codes", codes), ("counts", counts)):
+            if values.dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
+        if codes.min() < 0:
+            raise ValueError("codes must not be negative")
         if counts.min() < 1:
             raise ValueError("user counts must be positive")
+        codes = _read_only(codes.astype(np.uint64, copy=False))
+        counts = _read_only(counts.astype(np.int64, copy=False))
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "counts", counts)
         if np.any(codes[1:] <= codes[:-1]):
             raise ValueError("item codes must be ascending and distinct")
         if not 1 <= self.item_length <= 64:
@@ -306,7 +320,7 @@ class PartyState:
 
     @property
     def all_users(self) -> UserGroup:
-        return UserGroup(self.codes, self.counts)
+        return UserGroup(self.codes, self.counts, self.n_users)
 
 
 def pool_counts(parties: list[PartyState]) -> tuple[np.ndarray, np.ndarray]:
@@ -323,19 +337,24 @@ def pool_counts(parties: list[PartyState]) -> tuple[np.ndarray, np.ndarray]:
 LevelGroups = dict[int, UserGroup]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
     """Everything one engine run produces.
 
-    ``uploads`` holds each party's final (prefix, count) report as
-    (party id, entries), in the parties' input order. ``report_pairs``
-    counts every reported pair of the run, phase I included, and
-    ``package_pairs`` every pruning-package pair passed between parties.
+    ``topk`` holds the server's top-k prefixes (uint64) by descending merged
+    count, ascending prefix on ties. ``merged`` holds every reported prefix
+    once, ascending, with its count summed over parties, as :data:`PAIR`
+    records. ``uploads`` holds each party's final report as (party id,
+    entries), in the parties' input order; the entries are :data:`PAIR`
+    records by descending estimate. ``report_pairs`` counts every reported
+    pair of the run, phase I included, and ``package_pairs`` every
+    pruning-package pair passed between parties. Results compare by
+    identity; compare their arrays to compare two runs.
     """
 
-    topk: list[PrefixCode]
-    merged: dict[PrefixCode, float]
-    uploads: list[tuple[int, list[tuple[PrefixCode, float]]]]
+    topk: np.ndarray
+    merged: np.ndarray
+    uploads: list[tuple[int, np.ndarray]]
     report_pairs: int
     package_pairs: int = 0
 
@@ -407,12 +426,7 @@ def estimate_level(
     n = len(group)
     n_real = len(dom_bits)
     if n == 0:
-        return RankedEstimates(
-            dom_bits,
-            np.zeros(n_real),
-            sigma=math.sqrt(oracles.variance(config, 1)),
-            level_length=domain.level_length,
-        )
+        return RankedEstimates(dom_bits, np.zeros(n_real), sigma=math.sqrt(oracles.variance(config, 1)))
     shift = np.uint64(party.item_length - domain.level_length)
     prefixes = group.codes >> shift
     pos = np.minimum(np.searchsorted(dom_bits, prefixes), n_real - 1)
@@ -421,12 +435,7 @@ def estimate_level(
     estimates = oracles.estimate_from_counts(config, counts, n)[:n_real]
     sigma = math.sqrt(oracles.variance(config, n))
     order = np.lexsort((dom_bits, -estimates))
-    return RankedEstimates(
-        dom_bits[order],
-        estimates[order],
-        sigma=sigma,
-        level_length=domain.level_length,
-    )
+    return RankedEstimates(dom_bits[order], estimates[order], sigma=sigma)
 
 
 def _select_extension(ranked: RankedEstimates, params: ProtocolParams) -> tuple[np.ndarray, int]:
@@ -437,39 +446,34 @@ def _select_extension(ranked: RankedEstimates, params: ProtocolParams) -> tuple[
     return ranked.prefixes[:t], t
 
 
-def _positive_entries(
-    party: PartyState, ranked: RankedEstimates, t: int
-) -> list[tuple[PrefixCode, float]]:
-    """The top-t selection scaled by the party's population, filtered to
-    strictly positive estimated counts."""
-    counts = ranked.frequencies[:t] * party.n_users
-    return [
-        (PrefixCode(bits, ranked.level_length), count)
-        for bits, count in zip(ranked.prefixes[:t].tolist(), counts.tolist())
-        if count > 0
-    ]
-
-
 def _merge_reports(
-    reports: list[tuple[int, list[tuple[PrefixCode, float]]]],
+    reports: list[tuple[int, np.ndarray]],
     k: int,
     phase1_pairs: int = 0,
     package_pairs: int = 0,
 ) -> RunResult:
     """Sum per-prefix counts across parties and rank the result.
 
-    Contributions are combined with ``math.fsum`` so the merge is exactly
-    permutation-invariant over party order. ``phase1_pairs`` and
-    ``package_pairs`` are the run's uploads before these reports.
+    ``reports`` are (party id, :data:`PAIR` entries). Each prefix's counts
+    are summed with ``math.fsum``, which rounds the exact sum once, so the
+    merge does not depend on party order; a plain sum does (0.1 + 0.2 + 0.3
+    is not 0.3 + 0.2 + 0.1). ``phase1_pairs`` and ``package_pairs`` are the
+    run's uploads before these reports.
     """
-    contributions: dict[PrefixCode, list[float]] = defaultdict(list)
-    for _, entries in reports:
-        for code, count in entries:
-            contributions[code].append(count)
-    merged = {code: math.fsum(counts) for code, counts in contributions.items()}
-    ranked = sorted(merged.items(), key=lambda item: (-item[1], item[0].bits))
+    # Concatenated field by field: numpy concatenates structured arrays slowly.
+    prefixes = np.concatenate([entries["prefix"] for _, entries in reports])
+    order = np.argsort(prefixes)
+    prefixes = prefixes[order]
+    counts = np.concatenate([entries["count"] for _, entries in reports])[order].tolist()
+    first = np.ones(len(prefixes), dtype=bool)  # each prefix's first pair
+    first[1:] = prefixes[1:] != prefixes[:-1]
+    starts = np.flatnonzero(first).tolist()
+    merged = np.empty(len(starts), PAIR)
+    merged["prefix"] = prefixes[first]
+    merged["count"] = [math.fsum(counts[a:b]) for a, b in zip(starts, [*starts[1:], len(counts)])]
+    ranked = np.lexsort((merged["prefix"], -merged["count"]))
     return RunResult(
-        topk=[code for code, _ in ranked[:k]],
+        topk=merged["prefix"][ranked[:k]],
         merged=merged,
         uploads=reports,
         report_pairs=phase1_pairs + sum(len(entries) for _, entries in reports),
@@ -485,10 +489,11 @@ def _walk(
     groups: dict[int, LevelGroups],
     parents: np.ndarray = ROOT,
     prune=None,
-) -> dict[int, list[tuple[PrefixCode, float]]]:
+) -> dict[int, np.ndarray]:
     """Walk every party through ``levels``, level by level, extending
-    ``parents``; returns each party's upload by party id, its last level's
-    top-t selection with positive counts.
+    ``parents``; returns each party's upload by party id: its last level's
+    top-t selection scaled by the party's population, as :data:`PAIR`
+    records with strictly positive counts.
 
     At each level h the parties take turns in list order: each builds its
     candidate domain from its previous selection, estimates the level on its
@@ -528,7 +533,10 @@ def _walk(
             ranked = estimate_level(party, domain, group, params, key)
             selections[i], t = _select_extension(ranked, params)
             if h == levels[-1]:
-                uploads[party.party_id] = _positive_entries(party, ranked, t)
+                upload = np.empty(t, PAIR)
+                upload["prefix"] = selections[i]
+                upload["count"] = ranked.frequencies[:t] * party.n_users
+                uploads[party.party_id] = upload[upload["count"] > 0]
         l_prev = length
     return uploads
 

@@ -21,8 +21,8 @@ with a = (k' - |agreement| + 1) / (k' + 1), where gamma grows as the sending
 party's population share shrinks. Damping wins unless the two rankings agree
 near the top, so pruning stays conservative per level.
 
-Packages and agreed sets hold prefixes as their integer bit values; the
-level fixes their length.
+Packages hold prefixes as uint64 arrays of their bit values, and agreed
+sets as Python ints; the level fixes their length.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from fedhh._rng import derive_key
 from fedhh.extension import RankedEstimates
 from fedhh.prefix_codec import CandidateDomain
 from fedhh.protocol import (
+    PAIR,
     SUB_SPLIT,
     SUB_VAL0,
     SUB_VAL1,
@@ -56,11 +57,19 @@ _TAU = 1e-11  # keeps the contrast ratio finite when the local estimate is <= 0
 
 @dataclass
 class PruningPackage:
-    """One level's hints for the next party: the sender's ranking extremes."""
+    """One level's hints for the next party: the sender's ranking extremes.
+
+    ``frequent`` holds the sender's 2k most frequent prefixes (uint64) by
+    descending frequency, with their ``frequencies``; ``infrequent`` its 2k
+    least frequent prefixes by ascending (frequency, prefix). Every prefix
+    travels with its frequency, so a package costs ``n_pairs`` pairs; the
+    receiver reads only the order of the infrequent side.
+    """
 
     level: int
-    frequent: list[tuple[int, float]]  # (bits, frequency), descending frequency
-    infrequent: list[tuple[int, float]]  # ascending (frequency, bits)
+    frequent: np.ndarray
+    frequencies: np.ndarray
+    infrequent: np.ndarray
 
     @property
     def n_pairs(self) -> int:
@@ -98,10 +107,9 @@ def select_pruning_candidates(
     """
     if len(ranked) < 4 * k:
         return None
-    entries = list(zip(ranked.prefixes.tolist(), ranked.frequencies.tolist()))
-    frequent = entries[: 2 * k]
-    infrequent = sorted(entries[-2 * k :], key=lambda e: (e[1], e[0]))
-    return PruningPackage(level=level, frequent=frequent, infrequent=infrequent)
+    tail, tail_freqs = ranked.prefixes[-2 * k :], ranked.frequencies[-2 * k :]
+    infrequent = tail[np.lexsort((tail, tail_freqs))]
+    return PruningPackage(level, ranked.prefixes[: 2 * k], ranked.frequencies[: 2 * k], infrequent)
 
 
 def consensus_filter(
@@ -135,22 +143,21 @@ def consensus_filter(
 
 
 def contrast_scores(
-    previous_frequent: list[tuple[int, float]], validated: RankedEstimates
-) -> list[tuple[int, float]]:
-    """Rank the sender's frequent prefixes by how hard their support collapsed.
+    prefixes: np.ndarray, frequencies: np.ndarray, validated: RankedEstimates
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank the sender's frequent ``prefixes`` by how hard their support collapsed.
 
     ``validated`` is the receiver's estimate over exactly those prefixes. The
     score is the sender's frequency over the local one, clipped at zero (an
     unbiased estimate of a prefix barely held here is often negative, and must
-    rank first, not last), plus a small floor. Sorted by descending score,
-    ascending prefix value on ties.
+    rank first, not last), plus a small floor. Returns the prefixes by
+    descending score, ascending prefix value on ties, and their scores.
     """
-    local = validated.frequencies[np.argsort(validated.prefixes)].tolist()
-    scored = [
-        (code, freq / (max(cur, 0.0) + _TAU))
-        for (code, freq), cur in zip(sorted(previous_frequent), local, strict=True)
-    ]
-    return sorted(scored, key=lambda e: (-e[1], e[0]))
+    order = np.argsort(prefixes)
+    local = validated.frequencies[np.argsort(validated.prefixes)]
+    prefixes, scores = prefixes[order], frequencies[order] / (np.maximum(local, 0.0) + _TAU)
+    ranking = np.lexsort((prefixes, -scores))
+    return prefixes[ranking], scores[ranking]
 
 
 def consensus_prune_level(
@@ -176,18 +183,19 @@ def consensus_prune_level(
     val0, val1, main = split_users(group, [n_val, n_val, len(group) - 2 * n_val], rng)
     agreed: set[int] = set()
     # Each side is its own validation domain. Both rankings list the most
-    # prunable prefix first; the receiver's is by ascending (frequency, bits).
+    # prunable prefix first; the receiver's is by ascending (frequency, prefix).
     tests = ((package.infrequent, val0, SUB_VAL0, False), (package.frequent, val1, SUB_VAL1, True))
-    for entries, users, stream, contrast in tests:
-        if not entries:
+    for sender, users, stream, contrast in tests:
+        if len(sender) == 0:
             continue
-        validation = CandidateDomain(domain.level_length, sorted(bits for bits, _ in entries))
+        validation = CandidateDomain(domain.level_length, np.sort(sender))
         key = derive_key(run_key, party.party_id, package.level, stream)
         ranked = estimate_level(party, validation, users, params, key)
-        local = ranked.prefixes[np.lexsort((ranked.prefixes, ranked.frequencies))].tolist()
-        sender = contrast_scores(entries, ranked) if contrast else entries
+        local = ranked.prefixes[np.lexsort((ranked.prefixes, ranked.frequencies))]
+        if contrast:
+            sender, _ = contrast_scores(sender, package.frequencies, ranked)
         agreed |= consensus_filter(
-            [bits for bits, _ in sender], local, params.k, params.epsilon, gamma
+            sender.tolist(), local.tolist(), params.k, params.epsilon, gamma
         ).pruned
     if not agreed:
         return domain, main
@@ -223,11 +231,10 @@ def run_taps(
     if groups is None:
         groups = draw_groups(parties, params, run_key, "tap")
     shared = run_stc(parties, params, run_key, groups)
-    if not shared.topk:
+    if len(shared.topk) == 0:
         # Phase I found no candidate: every party uploads nothing.
-        reports = [(party.party_id, []) for party in parties]
+        reports = [(party.party_id, np.empty(0, PAIR)) for party in parties]
         return _merge_reports(reports, params.k, shared.report_pairs)
-    shared_bits = np.array([code.bits for code in shared.topk], dtype=np.uint64)
     total_users = sum(p.n_users for p in parties)
     # A zero validation budget disables the exchange outright: no level is
     # active and the walk gets no prune hook. This is the unpruned mechanism, run_tap.
@@ -245,7 +252,7 @@ def run_taps(
 
     phase_two = range(params.g_s + 1, params.g + 1)
     hook = prune if active else None
-    uploads = _walk(order_parties(parties), params, run_key, phase_two, groups, shared_bits, hook)
+    uploads = _walk(order_parties(parties), params, run_key, phase_two, groups, shared.topk, hook)
     reports = [(party.party_id, uploads[party.party_id]) for party in parties]
     return _merge_reports(reports, params.k, shared.report_pairs, package_pairs)
 

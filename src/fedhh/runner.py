@@ -47,6 +47,7 @@ from fedhh.datagen import (
     load_vocabulary,
     syn_default_specs,
 )
+from fedhh.prefix_codec import PrefixCode
 from fedhh.protocol import (
     PARTY_USERS_LIMIT,
     LevelGroups,
@@ -336,8 +337,8 @@ def _run_repetition(
         # The centralized baseline pools every user into one population.
         parties = [PartyState(0, *pool_counts(parties), parties[0].item_length)]
     truth = exact_topk(parties, max(config.k))
-    if len(truth.topk) < max(config.k):
-        raise ValueError(f"dataset holds only {len(truth.topk)} distinct items, need k={max(config.k)}")
+    if len(truth.codes) < max(config.k):
+        raise ValueError(f"dataset holds only {len(truth.codes)} distinct items, need k={max(config.k)}")
     run_key = derive_key(config.root_seed, repetition)
     # Grouping reads neither epsilon nor k, so the first point's params serve every job.
     first = config.protocol_params(config.epsilon[0], config.k[0])
@@ -348,16 +349,19 @@ def _run_repetition(
         start = time.perf_counter()
         result = _execute(config.mechanism, parties, params, run_key, groups)
         wall_ms = (time.perf_counter() - start) * 1000.0
-        truth_codes = truth.codes[:k]
-        local_lists = [[code for code, _ in entries[:k]] for _, entries in result.uploads]
+        truth_codes = truth.codes[:k].tolist()
+        local_lists = [entries["prefix"][:k].tolist() for _, entries in result.uploads]
+        # F1 and NCR score PrefixCode objects: perfbench's f1_score hook reads .bits and .length.
+        scored_topk = [PrefixCode(code, params.m) for code in result.topk.tolist()]
+        scored_truth = [PrefixCode(code, params.m) for code in truth_codes]
         records.append(RunRecord(
             run_id=f"{config.mechanism}-eps{epsilon:g}-k{k}-rep{repetition:03d}",
             mechanism=config.mechanism,
             oracle=config.oracle,
             epsilon=epsilon,
             k=k,
-            f1=metrics.f1_score(result.topk, truth_codes),
-            ncr=metrics.ncr_score(result.topk, truth_codes, k, quality=config.ncr_quality),
+            f1=metrics.f1_score(scored_topk, scored_truth),
+            ncr=metrics.ncr_score(scored_topk, scored_truth, k, quality=config.ncr_quality),
             avg_local_recall=metrics.avg_local_recall(local_lists, truth_codes, k),
             uploaded_bytes=result.uploaded_bytes,
             wall_time_ms=wall_ms,
@@ -499,8 +503,8 @@ def _cmd_truth(args, parser: argparse.ArgumentParser) -> int:
         truth = exact_topk(parties, args.k)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
-    for rank, (code, freq) in enumerate(truth.topk, start=1):
-        print(f"{rank:3d} {code} {freq:.6f}")
+    for rank, (code, freq) in enumerate(zip(truth.codes.tolist(), truth.frequencies.tolist()), start=1):
+        print(f"{rank:3d} {code:0{args.m}b} {freq:.6f}")
     return 0
 
 

@@ -129,7 +129,7 @@ def test_criterion_03_brute_force_equivalence():
         length = int(rng.integers(2, 2 * k + 4))
         freqs = np.sort(rng.uniform(0, 1, size=length))[::-1]
         codes = np.arange(length, dtype=np.uint64)
-        ranked = RankedEstimates(codes, freqs, sigma=0.01, level_length=12)
+        ranked = RankedEstimates(codes, freqs, sigma=0.01)
         if select_anchor(ranked, k) != _anchor_oracle(freqs, k):
             mismatches += 1
     pool = list(range(12))

@@ -14,7 +14,6 @@ from fedhh.datagen import (
     load_vocabulary,
     syn_default_specs,
 )
-from fedhh.prefix_codec import PrefixCode
 from fedhh.protocol import PartyState
 
 
@@ -275,26 +274,27 @@ def _party(party_id, items, m=4):
 def test_exact_topk_hand_count():
     # A = {x,x,y}, B = {y,y,z} with x=0, y=1, z=2: top-2 = [y 3/6, x 2/6].
     truth = exact_topk([_party(0, [0, 0, 1]), _party(1, [1, 1, 2])], 2)
-    assert truth.codes == [PrefixCode(1, 4), PrefixCode(0, 4)]
-    assert truth.topk[0][1] == pytest.approx(0.5)
-    assert truth.topk[1][1] == pytest.approx(1 / 3)
+    assert truth.codes.tolist() == [1, 0]
+    assert truth.codes.dtype == np.uint64
+    assert truth.frequencies[0] == pytest.approx(0.5)
+    assert truth.frequencies[1] == pytest.approx(1 / 3)
 
 
 def test_exact_topk_identical_parties():
     single = exact_topk([_party(0, [3, 3, 5, 7])], 3)
     double = exact_topk([_party(0, [3, 3, 5, 7]), _party(1, [3, 3, 5, 7])], 3)
-    assert single.codes == double.codes
+    assert single.codes.tolist() == double.codes.tolist()
 
 
 def test_exact_topk_k_exceeds_distinct():
     truth = exact_topk([_party(0, [4, 4, 9])], 10)
-    assert len(truth.topk) == 2
-    assert truth.codes == [PrefixCode(4, 4), PrefixCode(9, 4)]
+    assert len(truth.codes) == len(truth.frequencies) == 2
+    assert truth.codes.tolist() == [4, 9]
 
 
 def test_exact_topk_tie_breaks_ascending():
     truth = exact_topk([_party(0, [6, 2, 6, 2, 5])], 3)
-    assert truth.codes == [PrefixCode(2, 4), PrefixCode(6, 4), PrefixCode(5, 4)]
+    assert truth.codes.tolist() == [2, 6, 5]
 
 
 def test_exact_topk_validation():
@@ -307,5 +307,5 @@ def test_exact_topk_validation():
 
 
 def test_ground_truth_codes_property():
-    gt = GroundTruth(topk=[(PrefixCode(3, 4), 0.5)])
-    assert gt.codes == [PrefixCode(3, 4)]
+    gt = GroundTruth(np.array([3], dtype=np.uint64), np.array([0.5]))
+    assert gt.codes.tolist() == [3] and gt.frequencies.tolist() == [0.5]

@@ -23,9 +23,9 @@ from fedhh.extension import (
 )
 
 
-def ranked(freqs, sigma=1e-6, bits=8):
+def ranked(freqs, sigma=1e-6):
     codes = np.arange(len(freqs), dtype=np.uint64)
-    return RankedEstimates(codes, np.asarray(freqs, dtype=float), sigma, bits)
+    return RankedEstimates(codes, np.asarray(freqs, dtype=float), sigma)
 
 
 def anchor_oracle(freqs, k):
