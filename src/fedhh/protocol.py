@@ -40,12 +40,13 @@ inputs and returns one :class:`RunResult`: the server's top-k and merged
 counts, each party's final (prefix, count) upload, and the run's report and
 package pair totals. One ``parties`` list can therefore serve any number of
 runs, from any number of threads at once. An engine also takes each
-party's level groups, ``groups`` (party id -> :data:`LevelGroups`), and
-draws them with :func:`draw_groups` when it is None. The groups depend on
-the party, the run key and the level plan (g, g_s, phase-I fraction), not
-on epsilon, k or the oracle, so the runner draws a repetition's groups once
-and passes them to each of its (epsilon, k) jobs; the result is the same as
-when each engine draws them.
+party's level groups, ``groups`` (party id -> :data:`LevelGroups`), which
+the caller draws with :func:`draw_groups` in the mechanism's grouping mode
+and the engine only walks. The groups depend on the party, the run key and
+the level plan (g, g_s, phase-I fraction), not on epsilon, k or the oracle,
+so the runner draws a repetition's groups once and passes them to each of
+its (epsilon, k) jobs; each job's result is the same as on groups drawn for
+its own (epsilon, k).
 
 Randomness contract: every draw comes from a stream keyed by the run key and
 fixed tags: group assignment by (party), a validation split and each group's
@@ -267,8 +268,9 @@ class PartyState:
     ``codes`` are the party's ascending distinct m-bit item codes (stored as
     uint64) and ``counts`` the number of users holding each (positive, stored
     as int64), so a party costs memory in its distinct items, not its users.
-    Both must hold integers and the codes must not be negative, or ValueError
-    is raised: a value is never truncated or wrapped. The dataclass
+    Both must hold integers, the codes must not be negative and the party
+    must hold fewer than ``PARTY_USERS_LIMIT`` users, or ValueError is
+    raised: a value is never truncated or wrapped. The dataclass
     is frozen and both arrays are read-only views, so engines can share a
     party across runs and threads; per-run state (groups, uploads) lives in
     the engines and their :class:`RunResult`.
@@ -296,6 +298,13 @@ class PartyState:
             raise ValueError("codes must not be negative")
         if counts.min() < 1:
             raise ValueError("user counts must be positive")
+        # Checked before the cast and the sum: a uint64 count of 2**63 or more
+        # would wrap to a negative int64, and large counts would wrap the sum.
+        if counts.max() >= PARTY_USERS_LIMIT:
+            raise ValueError(
+                f"party {self.party_id} has {counts.max()} users of one item; "
+                "grouping needs fewer than 10**9"
+            )
         codes = _read_only(codes.astype(np.uint64, copy=False))
         counts = _read_only(counts.astype(np.int64, copy=False))
         object.__setattr__(self, "codes", codes)
@@ -396,7 +405,8 @@ def draw_groups(
 ) -> dict[int, LevelGroups]:
     """Every party's level groups by party id: :func:`assign_groups` in ``mode``.
 
-    Every engine's groups are drawn here.
+    Engines walk the groups they are given: the caller draws them here, once,
+    in the mechanism's grouping mode (the runner's ``_GROUPING_MODES``).
     """
     return {party.party_id: assign_groups(party, params, run_key, mode) for party in parties}
 
@@ -557,9 +567,10 @@ def run_pem_single(
     party: PartyState,
     params: ProtocolParams,
     run_key: int,
-    groups: dict[int, LevelGroups] | None = None,
+    groups: dict[int, LevelGroups],
 ) -> RunResult:
-    """Single-party baseline: :func:`run_fedpem` on one party."""
+    """Single-party baseline: :func:`run_fedpem` on one party, whose
+    ``groups`` the caller draws once, in mode "pem"."""
     return run_fedpem([party], params, run_key, groups)
 
 
@@ -567,14 +578,12 @@ def run_fedpem(
     parties: list[PartyState],
     params: ProtocolParams,
     run_key: int,
-    groups: dict[int, LevelGroups] | None = None,
+    groups: dict[int, LevelGroups],
 ) -> RunResult:
     """Federated baseline: each party splits its users evenly across all g
-    levels (``groups``, drawn in mode "pem" when None), walks them with fixed
-    extension ``t = k`` and no shared trie, and the server merges the
-    final-level uploads."""
-    if groups is None:
-        groups = draw_groups(parties, params, run_key, "pem")
+    levels (``groups``, which the caller draws once, in mode "pem"), walks
+    them with fixed extension ``t = k`` and no shared trie, and the server
+    merges the final-level uploads."""
     pem_params = replace(params, fixed_t=params.fixed_t if params.fixed_t is not None else params.k)
     uploads = _walk(parties, pem_params, run_key, range(1, params.g + 1), groups)
     return _merge_reports(list(uploads.items()), params.k)

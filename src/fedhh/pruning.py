@@ -46,7 +46,6 @@ from fedhh.protocol import (
     UserGroup,
     _merge_reports,
     _walk,
-    draw_groups,
     estimate_level,
     run_stc,
     split_users,
@@ -214,7 +213,7 @@ def run_taps(
     parties: list[PartyState],
     params: ProtocolParams,
     run_key: int,
-    groups: dict[int, LevelGroups] | None = None,
+    groups: dict[int, LevelGroups],
 ) -> RunResult:
     """The two-phase adaptive mechanism with sequential consensus pruning.
 
@@ -226,10 +225,8 @@ def run_taps(
     previous party's ranked table at that level. With a single party or a
     zero ``dividing_ratio`` no package travels and this is the unpruned
     mechanism (:func:`run_tap`). Both phases walk each party's ``groups``,
-    drawn in mode "tap" when None.
+    which the caller draws once, in mode "tap".
     """
-    if groups is None:
-        groups = draw_groups(parties, params, run_key, "tap")
     shared = run_stc(parties, params, run_key, groups)
     if len(shared.topk) == 0:
         # Phase I found no candidate: every party uploads nothing.
@@ -261,8 +258,9 @@ def run_tap(
     parties: list[PartyState],
     params: ProtocolParams,
     run_key: int,
-    groups: dict[int, LevelGroups] | None = None,
+    groups: dict[int, LevelGroups],
 ) -> RunResult:
     """The two-phase adaptive mechanism without pruning: :func:`run_taps`
-    with no package exchange, whatever ``params.dividing_ratio`` says."""
+    with no package exchange, whatever ``params.dividing_ratio`` says, on
+    ``groups`` that the caller draws once, in mode "tap"."""
     return run_taps(parties, replace(params, dividing_ratio=0.0), run_key, groups)

@@ -28,6 +28,7 @@ import functools
 import io
 import itertools
 import math
+import numbers
 import os
 import sys
 import time
@@ -104,10 +105,15 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
         if isinstance(self.epsilon, (int, float)):
             self.epsilon = (float(self.epsilon),)
-        if isinstance(self.k, int):
+        if isinstance(self.k, numbers.Number):
             self.k = (self.k,)
         self.epsilon = tuple(oracles.check_epsilon(e) for e in self.epsilon)
-        self.k = tuple(int(k) for k in self.k)
+        self.k = tuple(self.k)
+        for name, optional in _INTEGER_FIELDS.items():
+            value = getattr(self, name)
+            values = value if isinstance(value, tuple) else (value,)
+            if not (optional and value is None) and not all(isinstance(v, numbers.Integral) for v in values):
+                raise ValueError(f"{name} takes integers only, got {value!r}")
         if not self.epsilon:
             raise ValueError("need at least one epsilon value")
         if not self.k or any(k < 2 for k in self.k):
@@ -143,6 +149,12 @@ class ExperimentConfig:
 
 # Field name -> resolved type, such as tuple[float, ...] or int | None.
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+# The fields typed int, int | None or tuple[int, ...], each with whether it takes None.
+_INTEGER_FIELDS = {
+    name: type(None) in typing.get_args(kind)
+    for name, kind in _FIELD_TYPES.items()
+    if int in (kind, *typing.get_args(kind))
+}
 
 
 def _check_recipe(recipe, pooled: bool = False) -> None:
@@ -262,7 +274,12 @@ def load_manifest(path: str, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
     base = Path(path).parent
     vocab_path: str | None = None
     party_paths: list[str] = []
+    seen: set[str] = set()
     for key, value, where in _key_values(path):
+        if key in seen:
+            raise ValueError(f"{where}: repeated manifest key {key!r}")
+        if key != "party":  # one party= line per file, every other key once
+            seen.add(key)
         if key == "m":
             try:
                 declared = int(value)

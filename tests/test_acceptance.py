@@ -179,7 +179,8 @@ def test_criterion_05_noiseless_limit_recovery():
         rng = _dataset_rng(ACC_SEED + 5, rep)
         parties = generate_syn([PartySpec(100_000, "zipf", 1.5)], 1024, 1, rng, m=10)
         truth = exact_topk(parties, 10).codes
-        agg = run_tap(parties, params, derive_key(ACC_SEED + 5, rep))
+        run_key = derive_key(ACC_SEED + 5, rep)
+        agg = run_tap(parties, params, run_key, draw_groups(parties, params, run_key, "tap"))
         f1s.append(f1_score(agg.topk, truth))
     perfect = sum(1 for f in f1s if f == 1.0)
     elapsed = time.perf_counter() - start

@@ -49,6 +49,16 @@ def _stc(parties, params, run_key):
     return run_stc(parties, params, run_key, draw_groups(parties, params, run_key, "tap")).topk.tolist()
 
 
+def _run(engine, parties, params, run_key, mode):
+    """Run ``engine`` on the level groups drawn for ``parties`` in ``mode``,
+    as the runner draws them."""
+    return engine(parties, params, run_key, draw_groups(parties, params, run_key, mode))
+
+
+def _pem_on_first(parties, params, run_key, groups):
+    return run_pem_single(parties[0], params, run_key, groups)
+
+
 # ---------------------------------------------------------------------------
 # parameter and state validation
 
@@ -130,6 +140,11 @@ def test_party_state_validation():
     with pytest.raises(ValueError, match="10\\*\\*9"):
         PartyState(0, [1, 2], [PARTY_USERS_LIMIT - 1, 1], 8)
     assert PartyState(0, [1, 2], [PARTY_USERS_LIMIT - 2, 1], 8).n_users == PARTY_USERS_LIMIT - 1
+    # A count that large is rejected before the int64 cast and sum could wrap it.
+    with pytest.raises(ValueError, match="party 0 has 4611686018427387904 users .*10\\*\\*9"):
+        PartyState(0, np.array([1, 2]), np.array([2**62, 2**62]), 4)
+    with pytest.raises(ValueError, match="party 0 has 9223372036854775808 users .*10\\*\\*9"):
+        PartyState(0, np.array([1, 2]), np.array([2**63, 2**63], dtype=np.uint64), 4)
     party = _party(3, [3, 1, 2, 3], 8)
     assert party.n_users == 4
     assert party.codes.tolist() == [1, 2, 3] and party.counts.tolist() == [1, 1, 2]
@@ -519,7 +534,7 @@ def test_stc_all_zero_counts_gives_an_empty_trie():
     party = _party(0, np.arange(5), 48)
     assert _stc([party], ProtocolParams(), run_key=1) == []
     for engine in (run_tap, run_taps):
-        result = engine([party], ProtocolParams(), run_key=1)
+        result = _run(engine, [party], ProtocolParams(), 1, "tap")
         assert len(result.topk) == 0 and len(result.merged) == 0
         assert [(party_id, len(entries)) for party_id, entries in result.uploads] == [(0, 0)]
         assert result.uploaded_bytes == 0
@@ -538,7 +553,7 @@ def test_tap_adaptive_two_dominant_items():
     ).astype(np.uint64)
     rng.shuffle(items)
     parties = [_party(0, items.copy(), 8), _party(1, items.copy(), 8)]
-    agg = run_tap(parties, _params(), run_key=99)
+    agg = _run(run_tap, parties, _params(), 99, "tap")
     assert agg.topk.tolist() == [0x00, 0x40]
     assert [party_id for party_id, _ in agg.uploads] == [0, 1]
     for _, entries in agg.uploads:
@@ -559,7 +574,7 @@ def test_tap_fixed_extension_recovers_exact_top_k():
     ).astype(np.uint64)
     rng.shuffle(items)
     parties = [_party(0, items.copy(), 8), _party(1, items.copy(), 8)]
-    agg = run_tap(parties, _params(fixed_t=4), run_key=42)
+    agg = _run(run_tap, parties, _params(fixed_t=4), 42, "tap")
     truth = exact_topk([_party(0, items.copy(), 8)], 4)
     assert agg.topk.tolist() == truth.codes.tolist()
     assert agg.topk.tolist() == [0x00, 0x40, 0x80, 0xC0]
@@ -567,9 +582,7 @@ def test_tap_fixed_extension_recovers_exact_top_k():
 
 def test_tap_k_beyond_distinct_items_returns_all_discovered():
     items = np.concatenate([np.full(600, 0b0000), np.full(400, 0b1100)])
-    agg = run_tap(
-        [_party(0, items, 4)], _params(m=4, g=2, g_s=1, k=10, fixed_t=10), run_key=3
-    )
+    agg = _run(run_tap, [_party(0, items, 4)], _params(m=4, g=2, g_s=1, k=10, fixed_t=10), 3, "tap")
     assert agg.topk.tolist() == [0b0000, 0b1100]
 
 
@@ -580,18 +593,18 @@ def _noisy_parties(seed):
 
 def test_tap_same_key_is_deterministic():
     params = _params(m=16, g=8, g_s=2, k=6, epsilon=2.0)
-    agg1 = run_tap(_noisy_parties(1), params, run_key=555)
-    agg2 = run_tap(_noisy_parties(1), params, run_key=555)
+    agg1 = _run(run_tap, _noisy_parties(1), params, 555, "tap")
+    agg2 = _run(run_tap, _noisy_parties(1), params, 555, "tap")
     assert agg1.topk.tolist() == agg2.topk.tolist()
     assert agg1.merged.tolist() == agg2.merged.tolist()  # exact float equality
-    agg3 = run_tap(_noisy_parties(1), params, run_key=556)
+    agg3 = _run(run_tap, _noisy_parties(1), params, 556, "tap")
     assert agg3.merged.tolist() != agg1.merged.tolist()
 
 
 def test_tap_merge_is_party_order_invariant():
     params = _params(m=16, g=8, g_s=2, k=6, epsilon=2.0)
-    forward = run_tap(_noisy_parties(4), params, run_key=31)
-    backward = run_tap(list(reversed(_noisy_parties(4))), params, run_key=31)
+    forward = _run(run_tap, _noisy_parties(4), params, 31, "tap")
+    backward = _run(run_tap, list(reversed(_noisy_parties(4))), params, 31, "tap")
     assert forward.merged.tolist() == backward.merged.tolist()
     assert forward.topk.tolist() == backward.topk.tolist()
 
@@ -617,7 +630,7 @@ def test_pem_single_near_noiseless_recovery():
         [PartySpec(50_000, "zipf", 1.5)], 1024, 1, np.random.default_rng(11), m=10
     )
     params = ProtocolParams(m=10, g=5, g_s=1, k=10, epsilon=20.0, oracle="krr")
-    result = run_pem_single(parties[0], params, run_key=777)
+    result = _run(_pem_on_first, parties, params, 777, "pem")
     estimated = result.uploads[0][1]["prefix"][:10].tolist()
     assert result.topk.tolist() == estimated
     truth = exact_topk([_party(0, parties[0].users.copy(), 10)], 10).codes
@@ -627,8 +640,8 @@ def test_pem_single_near_noiseless_recovery():
 def test_pem_single_same_key_is_deterministic():
     parties = generate_syn([PartySpec(3000, "zipf", 1.5)], 400, 1, np.random.default_rng(8), m=12)
     params = ProtocolParams(m=12, g=4, g_s=1, k=5, epsilon=2.0)
-    first = run_pem_single(parties[0], params, run_key=10)
-    second = run_pem_single(parties[0], params, run_key=10)
+    first = _run(_pem_on_first, parties, params, 10, "pem")
+    second = _run(_pem_on_first, parties, params, 10, "pem")
     assert as_lists(first) == as_lists(second)
 
 
@@ -645,17 +658,13 @@ def test_fedpem_identical_parties_recover_exact_top_k():
     ).astype(np.uint64)
     rng.shuffle(items)
     parties = [_party(i, items.copy(), 6) for i in range(3)]
-    agg = run_fedpem(parties, ProtocolParams(m=6, g=3, g_s=1, k=4, epsilon=20.0), run_key=7)
+    agg = _run(run_fedpem, parties, ProtocolParams(m=6, g=3, g_s=1, k=4, epsilon=20.0), 7, "pem")
     assert agg.topk.tolist() == [0x00, 0x10, 0x20, 0x30]
 
 
 def test_fedpem_rejects_empty_party_list():
     with pytest.raises(ProtocolError, match="at least one"):
-        run_fedpem([], _params(), run_key=1)
-
-
-def _pem_on_first(parties, params, run_key, groups=None):
-    return run_pem_single(parties[0], params, run_key, groups)
+        run_fedpem([], _params(), 1, {})
 
 
 # Each engine with the grouping mode it draws its groups in.
@@ -671,7 +680,9 @@ def test_engines_give_the_same_result_with_groups_passed_or_drawn(engine, mode):
     specs = [PartySpec(4000, "zipf", 1.3), PartySpec(3000, "poisson", 5.0), PartySpec(2000, "zipf", 1.5)]
     parties = generate_syn(specs, 500, 3, np.random.default_rng(17), m=16)
     params = ProtocolParams(m=16, g=8, g_s=2, k=4, epsilon=3.0, dividing_ratio=0.2)
-    # Grouping reads neither epsilon nor k: one draw serves every job.
+    # Grouping reads neither epsilon nor k, so the runner passes every job the
+    # groups drawn under the first job's (epsilon, k): each job's result must be
+    # the one on groups drawn under its own.
     groups = draw_groups(parties, params, 21, mode)
     # Every level group holds uint64 codes and int32 counts.
     assert {(g.codes.dtype, g.counts.dtype) for levels in groups.values() for g in levels.values()} == {
@@ -679,7 +690,8 @@ def test_engines_give_the_same_result_with_groups_passed_or_drawn(engine, mode):
     }
     for epsilon, k in ((3.0, 4), (1.0, 6)):
         job = dataclasses.replace(params, epsilon=epsilon, k=k)
-        assert as_lists(engine(parties, job, 21, groups)) == as_lists(engine(parties, job, 21))
+        own = draw_groups(parties, job, 21, mode)
+        assert as_lists(engine(parties, job, 21, groups)) == as_lists(engine(parties, job, 21, own))
 
 
 @_ENGINES
@@ -702,17 +714,16 @@ def test_engines_reject_groups_that_lack_a_party(engine, mode):
         engine(parties, params, 5, groups)
 
 
-@pytest.mark.parametrize("passed", [True, False], ids=["groups-passed", "groups-drawn"])
 @pytest.mark.parametrize(
     "engine, mode",
     [(run_fedpem, "pem"), (run_tap, "tap"), (run_taps, "tap")],
-    ids=["fedpem", "tap", "taps"],
+    ids=["fedpem-groups-passed", "tap-groups-passed", "taps-groups-passed"],
 )
-def test_engines_reject_repeated_party_ids(engine, mode, passed):
+def test_engines_reject_repeated_party_ids(engine, mode):
     # Sharing an id, the second party would walk the first one's groups.
     parties = [_party(0, np.arange(300) % 40, 16), _party(0, np.arange(200) % 30, 16)]
     params = _params(m=16, g=8, g_s=2)
-    groups = {0: assign_groups(parties[0], params, 5, mode)} if passed else None
+    groups = {0: assign_groups(parties[0], params, 5, mode)}
     with pytest.raises(ProtocolError, match="party ids must be distinct"):
         engine(parties, params, 5, groups)
 
@@ -756,13 +767,14 @@ def test_engines_on_shared_parties_match_from_four_threads():
     parties = _noisy_parties(9)
     before = [p.users.copy() for p in parties]
     params = _params(m=16, g=8, g_s=2, k=6, epsilon=2.0)
-    jobs = [(engine, key) for engine in (run_tap, run_taps, run_fedpem) for key in (1, 2, 3, 4)]
-    sequential = [engine(parties, params, key) for engine, key in jobs]
+    engines = ((run_tap, "tap"), (run_taps, "tap"), (run_fedpem, "pem"))
+    jobs = [(engine, key, mode) for engine, mode in engines for key in (1, 2, 3, 4)]
+    sequential = [_run(engine, parties, params, key, mode) for engine, key, mode in jobs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, inside engine steps
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            runs = pool.map(lambda job: job[0](parties, params, job[1]), jobs, timeout=120)
+            runs = pool.map(lambda job: _run(job[0], parties, params, *job[1:]), jobs, timeout=120)
             concurrent = list(runs)
     finally:
         sys.setswitchinterval(interval)

@@ -9,7 +9,7 @@ from fedhh import pruning
 from fedhh.datagen import PartySpec, generate_syn
 from fedhh.extension import RankedEstimates
 from fedhh.prefix_codec import CandidateDomain
-from fedhh.protocol import PartyState, ProtocolError, ProtocolParams
+from fedhh.protocol import PartyState, ProtocolError, ProtocolParams, draw_groups
 from fedhh.pruning import (
     PruningPackage,
     active_levels,
@@ -335,33 +335,39 @@ def _parties(seed, specs=None):
     return generate_syn(specs, 600, 3, np.random.default_rng(seed), m=16)
 
 
+def _run(engine, parties, params, run_key):
+    """Run ``engine`` (``run_tap`` or ``run_taps``) on the level groups drawn
+    for ``parties`` in mode "tap", as the runner draws them."""
+    return engine(parties, params, run_key, draw_groups(parties, params, run_key, "tap"))
+
+
 def test_taps_single_party_equals_unpruned_engine():
     params = ProtocolParams(m=16, g=8, g_s=2, k=6, epsilon=2.0)
     specs = [PartySpec(4000, "zipf", 1.5)]
-    pruned = run_taps(_parties(1, specs), params, run_key=88)
-    plain = run_tap(_parties(1, specs), params, run_key=88)
+    pruned = _run(run_taps, _parties(1, specs), params, 88)
+    plain = _run(run_tap, _parties(1, specs), params, 88)
     assert pruned.merged.tolist() == plain.merged.tolist()
     assert pruned.topk.tolist() == plain.topk.tolist()
 
 
 def test_taps_zero_ratio_equals_unpruned_engine():
     params = ProtocolParams(m=16, g=8, g_s=2, k=6, epsilon=2.0, dividing_ratio=0.0)
-    pruned = run_taps(_parties(2), params, run_key=9)
-    plain = run_tap(_parties(2), params, run_key=9)
+    pruned = _run(run_taps, _parties(2), params, 9)
+    plain = _run(run_tap, _parties(2), params, 9)
     assert pruned.merged.tolist() == plain.merged.tolist()
     assert pruned.topk.tolist() == plain.topk.tolist()
 
 
 def test_taps_zero_ratio_emits_no_packages():
     params = ProtocolParams(m=16, g=8, g_s=2, k=2, epsilon=4.0, dividing_ratio=0.0)
-    result = run_taps(_parties(3), params, run_key=10)
+    result = _run(run_taps, _parties(3), params, 10)
     assert result.package_pairs == 0
     assert result.uploaded_bytes == result.report_pairs * 16
 
 
 def test_taps_packages_travel_at_active_levels():
     params = ProtocolParams(m=16, g=8, g_s=2, k=2, epsilon=4.0, dividing_ratio=0.1)
-    agg = run_taps(_parties(3), params, run_key=10)
+    agg = _run(run_taps, _parties(3), params, 10)
     n_active = len(active_levels(params))
     package_size = 4 * params.k  # 2k frequent plus 2k infrequent pairs
     assert agg.package_pairs % package_size == 0
@@ -372,4 +378,4 @@ def test_taps_packages_travel_at_active_levels():
 
 def test_taps_rejects_empty_party_list():
     with pytest.raises(ProtocolError, match="at least one"):
-        run_taps([], ProtocolParams(), run_key=1)
+        run_taps([], ProtocolParams(), 1, {})

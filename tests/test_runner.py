@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from fedhh import oracles, protocol, runner
 from fedhh.datagen import PartySpec, generate_syn
-from fedhh.protocol import PartyState, ProtocolParams, run_fedpem
+from fedhh.protocol import PartyState, ProtocolParams, draw_groups, run_fedpem
 from fedhh.pruning import active_levels, run_tap, run_taps
 from fedhh.runner import (
     CSV_HEADER,
@@ -119,11 +119,28 @@ def test_build_config_rejects_unknown_key():
         dict(scale=4546),  # the largest party would hold 10**9 users or more
         dict(mechanism="pem", scale=1283),  # so would pem's pooled party
         dict(m=40, g=2, k=(2, 10)),  # k=10 widens level 2 to 20 * 2**20 candidates
+        # Integer fields take integers: a float is rejected, not truncated.
+        dict(k=(10.7,)),
+        dict(pool_size=33000.5),
+        dict(repetitions=1.5),
+        dict(threads=2.5),
+        dict(m=48.5),
+        dict(g=24.0),
+        dict(fixed_t=20.5),
+        dict(g_s=1.5),
+        dict(m=None),
     ],
 )
 def test_config_validation(kw):
     with pytest.raises(ValueError):
         ExperimentConfig(**kw)
+
+
+def test_config_integer_fields_take_numpy_integers_and_name_a_float():
+    config = ExperimentConfig(k=(np.int64(10),), m=np.int64(48), g_s=np.int32(6), threads=np.uint8(1))
+    assert config.k == (10,) and config.m == 48 and config.g_s == 6
+    with pytest.raises(ValueError, match=r"k takes integers only, got \(10\.7,\)"):
+        ExperimentConfig(k=(10.7,))
 
 
 def test_config_accepts_the_largest_scales():
@@ -512,10 +529,23 @@ def test_load_manifest_errors(tmp_path):
     path.write_text("mm=1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown manifest key"):
         load_manifest(str(path), 16)
+    # A repeated key is an error, not the last line's value.
+    path.write_text("m=16\nvocabulary=v1.txt\nvocabulary=v2.txt\nparty=p\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: repeated manifest key 'vocabulary'")):
+        load_manifest(str(path), 16)
+    path.write_text("m=16\nvocabulary=v\nm=16\nparty=p\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: repeated manifest key 'm'")):
+        load_manifest(str(path), 16)
 
 
 # ---------------------------------------------------------------------------
 # cost accounting
+
+
+def _run(engine, parties, params, run_key, mode):
+    """Run ``engine`` on the level groups drawn for ``parties`` in ``mode``,
+    as the runner draws them."""
+    return engine(parties, params, run_key, draw_groups(parties, params, run_key, mode))
 
 
 def test_fedpem_upload_cost_two_parties():
@@ -523,7 +553,7 @@ def test_fedpem_upload_cost_two_parties():
     items = np.tile(np.arange(16), 125).astype(np.uint64)
     parties = [PartyState(i, *np.unique(items, return_counts=True), 6) for i in range(2)]
     params = ProtocolParams(m=6, g=3, g_s=1, k=10, epsilon=20.0)
-    result = run_fedpem(parties, params, run_key=12)
+    result = _run(run_fedpem, parties, params, 12, "pem")
     assert result.report_pairs == 20
     assert result.package_pairs == 0
     assert result.uploaded_bytes == 320
@@ -538,7 +568,7 @@ def test_taps_package_bytes_stay_under_the_cap():
     # Packages cost at most active levels x parties x 4k pairs, 16 bytes each.
     params = ProtocolParams(m=16, g=8, g_s=2, k=2, epsilon=4.0)
     parties = _taps_parties()
-    result = run_taps(parties, params, run_key=3)
+    result = _run(run_taps, parties, params, 3, "tap")
     cap = len(active_levels(params)) * len(parties) * 4 * params.k * 16
     assert 0 < result.package_pairs * 16 <= cap
 
@@ -546,17 +576,17 @@ def test_taps_package_bytes_stay_under_the_cap():
 def test_taps_with_zero_dividing_ratio_is_tap():
     # No validation budget, no packages: taps costs exactly what tap costs.
     params = ProtocolParams(m=16, g=8, g_s=2, k=2, epsilon=4.0, dividing_ratio=0.0)
-    pruned = run_taps(_taps_parties(), params, run_key=3)
-    plain = run_tap(_taps_parties(), params, run_key=3)
+    pruned = _run(run_taps, _taps_parties(), params, 3, "tap")
+    plain = _run(run_tap, _taps_parties(), params, 3, "tap")
     assert pruned.package_pairs == 0
     assert pruned.uploaded_bytes == plain.uploaded_bytes
     # tap is taps without the exchange, so the ratio it is given changes nothing.
     assert as_lists(pruned) == as_lists(plain)
-    assert as_lists(run_tap(_taps_parties(), replace(params, dividing_ratio=0.3), run_key=3)) == as_lists(plain)
+    assert as_lists(_run(run_tap, _taps_parties(), replace(params, dividing_ratio=0.3), 3, "tap")) == as_lists(plain)
 
 
 def test_uploaded_bytes_count_phase_one_and_package_pairs():
-    result = run_taps(_taps_parties(), ProtocolParams(m=16, g=8, g_s=2, k=2, epsilon=4.0), run_key=3)
+    result = _run(run_taps, _taps_parties(), ProtocolParams(m=16, g=8, g_s=2, k=2, epsilon=4.0), 3, "tap")
     final_pairs = sum(len(entries) for _, entries in result.uploads)
     assert result.report_pairs > final_pairs  # phase I reports count too
     assert result.uploaded_bytes == 16 * (result.report_pairs + result.package_pairs)
