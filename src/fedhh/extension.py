@@ -67,7 +67,7 @@ def select_anchor(ranked: RankedEstimates, k: int) -> int:
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    freqs = [float(f) for f in ranked.frequencies[: k + 1]]  # the ranks the score reads
+    freqs = ranked.frequencies[: k + 1].tolist()  # the ranks the score reads
     freqs += [0.0] * (k + 1 - len(freqs))  # zero-frequency sentinels up to k+1
     best_k, best_score = 2, -math.inf
     top_sum = 0.0
@@ -93,7 +93,7 @@ def drift_distance(ranked: RankedEstimates, k: int, k_star: int) -> int:
     if hi < lo:
         # Nothing ranked beyond the anchor, or it landed on a zero-frequency sentinel.
         return 0
-    freqs = [float(f) for f in ranked.frequencies[: k_star + hi]]  # the ranks the sum reads
+    freqs = ranked.frequencies[: k_star + hi].tolist()  # the ranks the sum reads
     anchor = freqs[k_star - 1]
     expectation = 0.0
     for x in range(lo, hi + 1):

@@ -36,11 +36,11 @@ chunking or on the number of threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from fedhh._rng import derive_key
+from fedhh._rng import derive_key, generator
 
 KINDS = ("krr", "oue", "olh")
 
@@ -68,11 +68,20 @@ def check_epsilon(epsilon: float) -> float:
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Oracle kind, privacy budget and alphabet size (dummy slot included)."""
+    """Oracle kind, privacy budget and alphabet size (dummy slot included).
+
+    ``p`` is the probability that a report supports the user's true index,
+    ``q`` that it supports any fixed other index, and ``d_prime`` the local
+    hashing oracle's hash range, ceil(e^eps + 1); all three are computed
+    when the config is built.
+    """
 
     kind: str
     epsilon: float
     domain_size: int
+    d_prime: int = field(init=False, repr=False, compare=False)
+    p: float = field(init=False, repr=False, compare=False)
+    q: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -80,34 +89,20 @@ class OracleConfig:
         check_epsilon(self.epsilon)
         if self.domain_size < 2:
             raise ValueError("domain size must be at least 2")
-
-    @property
-    def d_prime(self) -> int:
-        """Hash range of the local-hashing oracle: ceil(e^eps + 1)."""
-        return max(2, math.ceil(math.exp(self.epsilon) + 1))
-
-    @property
-    def p(self) -> float:
-        """Probability that the report supports the user's true index."""
         e = math.exp(self.epsilon)
+        d_prime = max(2, math.ceil(e + 1))
         if self.kind == "krr":
-            return e / (self.domain_size - 1 + e)
-        if self.kind == "oue":
-            return 0.5
-        return e / (self.d_prime - 1 + e)
-
-    @property
-    def q(self) -> float:
-        """Probability that the report supports any fixed other index."""
-        e = math.exp(self.epsilon)
-        if self.kind == "krr":
-            return 1.0 / (self.domain_size - 1 + e)
-        if self.kind == "oue":
-            return 1.0 / (e + 1)
-        # For a non-true item x, the report supports x iff the perturbed
-        # bucket equals hash(seed, x); by pairwise uniformity of the hash
-        # family this happens with probability p/d' + (1-p)/d' = 1/d'.
-        return 1.0 / self.d_prime
+            p, q = e / (self.domain_size - 1 + e), 1.0 / (self.domain_size - 1 + e)
+        elif self.kind == "oue":
+            p, q = 0.5, 1.0 / (e + 1)
+        else:
+            # For a non-true item x, the report supports x iff the perturbed
+            # bucket equals hash(seed, x); by pairwise uniformity of the hash
+            # family this happens with probability p/d' + (1-p)/d' = 1/d'.
+            p, q = e / (d_prime - 1 + e), 1.0 / d_prime
+        object.__setattr__(self, "d_prime", d_prime)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
 
 def estimate_from_counts(config: OracleConfig, counts: np.ndarray, n: int) -> np.ndarray:
@@ -155,7 +150,7 @@ def perturb_counts(
     n = int(hist.sum())
     if n != len(user_index):
         raise ValueError(f"true_index holds {n} users, user_index has length {len(user_index)}")
-    rng = np.random.default_rng(derive_key(stream_key, _STREAM_COUNTS))
+    rng = generator(derive_key(stream_key, _STREAM_COUNTS))
     if config.kind == "krr":
         kept = rng.binomial(hist, config.p - config.q)
         return kept + rng.multinomial(n - int(kept.sum()), np.full(d, 1.0 / d))

@@ -50,20 +50,23 @@ its own (epsilon, k).
 
 Randomness contract: every draw comes from a stream keyed by the run key and
 fixed tags: group assignment by (party), a validation split and each group's
-oracle support counts by (party, level, role). Runs are therefore
-bit-identical regardless of thread count or scheduling, and each simulated
-user reports exactly once per run.
+oracle support counts by (party, level, role). Each stream is opened with
+:func:`fedhh._rng.generator`, which draws what ``numpy.random.default_rng``
+draws from the same key. Runs are therefore bit-identical regardless of
+thread count or scheduling, and each simulated user reports exactly once per
+run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from fedhh import oracles
-from fedhh._rng import derive_key
+from fedhh._rng import derive_key, generator
 from fedhh.extension import RankedEstimates, extension_number
 from fedhh.oracles import OracleConfig
 from fedhh.prefix_codec import (
@@ -100,6 +103,10 @@ LIGHT_BLOCK_USERS = 1 << 14
 # hypergeometric draw (method="marginals") that splits them into groups
 # rejects larger totals. Below 2**31, so a group counts its users in int32.
 PARTY_USERS_LIMIT = 10**9
+
+# One oracle config per (kind, epsilon, alphabet size), so that a level's p
+# and q are computed once; a sweep meets a few hundred alphabet sizes.
+_oracle_config = functools.lru_cache(maxsize=1024)(OracleConfig)
 
 
 class ProtocolError(RuntimeError):
@@ -396,7 +403,7 @@ def assign_groups(
         )
     else:
         raise ValueError(f"unknown grouping mode {mode!r}")
-    rng = np.random.default_rng(derive_key(run_key, _TAG_GROUPING, party.party_id))
+    rng = generator(derive_key(run_key, _TAG_GROUPING, party.party_id))
     return dict(enumerate(split_users(party.all_users, sizes, rng), start=1))
 
 
@@ -432,7 +439,7 @@ def estimate_level(
     if len(dom_bits) == 0:
         raise ProtocolError("candidate domain is empty")
     d = domain.alphabet_size
-    config = OracleConfig(params.oracle, params.epsilon, d)
+    config = _oracle_config(params.oracle, params.epsilon, d)
     n = len(group)
     n_real = len(dom_bits)
     if n == 0:
@@ -444,7 +451,8 @@ def estimate_level(
     counts = oracles.perturb_counts(config, stream_key, range(n), item_index, group.counts)
     estimates = oracles.estimate_from_counts(config, counts, n)[:n_real]
     sigma = math.sqrt(oracles.variance(config, n))
-    order = np.lexsort((dom_bits, -estimates))
+    # The domain is ascending, so a stable sort breaks ties by ascending prefix.
+    order = np.argsort(-estimates, kind="stable")
     return RankedEstimates(dom_bits[order], estimates[order], sigma=sigma)
 
 

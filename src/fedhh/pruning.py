@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from fedhh._rng import derive_key
+from fedhh._rng import derive_key, generator
 from fedhh.extension import RankedEstimates
 from fedhh.prefix_codec import CandidateDomain
 from fedhh.protocol import (
@@ -178,7 +178,7 @@ def consensus_prune_level(
     n_val = int(len(group) * params.dividing_ratio)
     if n_val == 0:
         return domain, group
-    rng = np.random.default_rng(derive_key(run_key, party.party_id, package.level, SUB_SPLIT))
+    rng = generator(derive_key(run_key, party.party_id, package.level, SUB_SPLIT))
     val0, val1, main = split_users(group, [n_val, n_val, len(group) - 2 * n_val], rng)
     agreed: set[int] = set()
     # Each side is its own validation domain. Both rankings list the most

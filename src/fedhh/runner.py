@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from fedhh import metrics, oracles
-from fedhh._rng import derive_key
+from fedhh._rng import derive_key, generator
 from fedhh.datagen import (
     PartySpec,
     exact_topk,
@@ -103,17 +103,15 @@ class ExperimentConfig:
             value, choices = getattr(self, f.name), f.metadata.get("choices")
             if choices is not None and value not in choices:
                 raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
-        if isinstance(self.epsilon, (int, float)):
-            self.epsilon = (float(self.epsilon),)
-        if isinstance(self.k, numbers.Number):
-            self.k = (self.k,)
-        self.epsilon = tuple(oracles.check_epsilon(e) for e in self.epsilon)
-        self.k = tuple(self.k)
-        for name, optional in _INTEGER_FIELDS.items():
+        # A scalar epsilon or k is a sweep of one value.
+        self.epsilon, self.k = (tuple(v) if np.ndim(v) else (v,) for v in (self.epsilon, self.k))
+        for name, (number, optional) in _NUMBER_FIELDS.items():
             value = getattr(self, name)
             values = value if isinstance(value, tuple) else (value,)
-            if not (optional and value is None) and not all(isinstance(v, numbers.Integral) for v in values):
-                raise ValueError(f"{name} takes integers only, got {value!r}")
+            if not (optional and value is None) and not all(isinstance(v, number) for v in values):
+                kind = "integers" if number is numbers.Integral else "real numbers"
+                raise ValueError(f"{name} takes {kind} only, got {value!r}")
+        self.epsilon = tuple(oracles.check_epsilon(e) for e in self.epsilon)
         if not self.epsilon:
             raise ValueError("need at least one epsilon value")
         if not self.k or any(k < 2 for k in self.k):
@@ -149,11 +147,13 @@ class ExperimentConfig:
 
 # Field name -> resolved type, such as tuple[float, ...] or int | None.
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
-# The fields typed int, int | None or tuple[int, ...], each with whether it takes None.
-_INTEGER_FIELDS = {
-    name: type(None) in typing.get_args(kind)
+# The fields typed int or float, alone, optional or as a tuple, such as
+# int | None or tuple[float, ...]: each one's numbers class and whether it takes None.
+_NUMBER_FIELDS = {
+    name: (numbers.Integral if int in kinds else numbers.Real, type(None) in kinds)
     for name, kind in _FIELD_TYPES.items()
-    if int in (kind, *typing.get_args(kind))
+    for kinds in [(kind, *typing.get_args(kind))]
+    if int in kinds or float in kinds
 }
 
 
@@ -263,7 +263,7 @@ def _scaled_specs(scale: float) -> list[PartySpec]:
 
 
 def _dataset_rng(root_seed: int, repetition: int) -> np.random.Generator:
-    return np.random.default_rng(derive_key(derive_key(root_seed, repetition), _TAG_DATASET))
+    return generator(derive_key(derive_key(root_seed, repetition), _TAG_DATASET))
 
 
 def load_manifest(path: str, m: int) -> list[tuple[np.ndarray, np.ndarray]]:

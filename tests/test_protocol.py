@@ -453,6 +453,23 @@ def test_estimate_level_tracks_empirical_frequencies(kind):
         assert abs(freq - empirical[bits]) < 5 * sigma
 
 
+@pytest.mark.parametrize("kind", oracles.KINDS)
+def test_estimate_level_ranks_ties_by_ascending_prefix(kind):
+    """A few users over 32 candidates leave many estimates tied; each tie
+    ranks by ascending prefix, as np.lexsort((prefixes, -frequencies)) does."""
+    party = _party(0, [3, 17, 17, 40, 41, 62], 6)
+    domain = construct_domain(ROOT, 5, 0)
+    params = _params(m=6, g=3, epsilon=1.0, oracle=kind)
+    tied = 0
+    for key in range(20):
+        ranked = estimate_level(party, domain, party.all_users, params, stream_key=key)
+        order = np.lexsort((ranked.prefixes, -ranked.frequencies))
+        assert np.array_equal(ranked.prefixes[order], ranked.prefixes), key
+        assert np.array_equal(ranked.frequencies[order], ranked.frequencies), key
+        tied += int(np.sum(ranked.frequencies[1:] == ranked.frequencies[:-1]))
+    assert tied > 100  # ties are the rule here, not the exception
+
+
 def test_estimate_level_empty_group():
     party = _party(0, np.array([1, 2, 3]), 4)
     empty = UserGroup(np.array([], dtype=np.uint64), np.array([], dtype=np.int64), 0)

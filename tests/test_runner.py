@@ -129,6 +129,13 @@ def test_build_config_rejects_unknown_key():
         dict(fixed_t=20.5),
         dict(g_s=1.5),
         dict(m=None),
+        # Float fields take real numbers: a string or None is rejected, not parsed.
+        dict(dividing_ratio="0.1"),
+        dict(phase1_user_fraction="0.1"),
+        dict(scale="1"),
+        dict(dirichlet_beta=None),
+        dict(epsilon=(2.0, "4")),
+        dict(epsilon="4"),
     ],
 )
 def test_config_validation(kw):
@@ -190,6 +197,7 @@ def test_config_scalar_epsilon_and_k_are_promoted():
     config = ExperimentConfig(epsilon=2, k=5)
     assert config.epsilon == (2.0,)
     assert config.k == (5,)
+    assert ExperimentConfig(epsilon=np.float32(2.0), k=np.int64(5)).epsilon == (2.0,)
 
 
 def test_g_s_resolution():
